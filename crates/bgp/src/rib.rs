@@ -276,6 +276,37 @@ mod tests {
         }
     }
 
+    /// Pins the RIB bytes (every entry's prefix and AS path) of the
+    /// collector fed by the first global transit AS.
+    #[test]
+    fn rib_digest_is_pinned() {
+        use opeer_topology::routing::stable_hash;
+        for (seed, entries, digest) in [
+            (7, 2940usize, 12432227711417914482u64),
+            (42, 2779, 9361059522196332176),
+        ] {
+            let w = WorldConfig::small(seed).generate();
+            let peer = w
+                .ases
+                .iter()
+                .position(|a| matches!(a.kind, opeer_topology::AsKind::TransitGlobal))
+                .expect("tier-1 exists");
+            let c = Collector::build(&w, AsId::from_index(peer));
+            let mut words = Vec::new();
+            for e in &c.rib {
+                words.push(u64::from(u32::from(e.prefix.network())));
+                words.push(u64::from(e.prefix.len()));
+                words.push(e.as_path.len() as u64);
+                words.extend(e.as_path.iter().map(|a| u64::from(a.value())));
+            }
+            assert_eq!(
+                (c.rib.len(), stable_hash(&words)),
+                (entries, digest),
+                "RIB of small seed {seed} moved"
+            );
+        }
+    }
+
     #[test]
     fn from_mrt_tolerates_garbage_tail() {
         let (_w, c) = collector();

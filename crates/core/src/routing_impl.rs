@@ -23,6 +23,7 @@ use opeer_measure::latency::LatencyModel;
 use opeer_measure::traceroute::TracerouteEngine;
 use opeer_net::{Asn, Ipv4Prefix};
 use opeer_topology::routing::stable_hash;
+use opeer_topology::RouteTable;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -168,6 +169,7 @@ pub fn analyze(
         .map(|(i, a)| (a.asn, opeer_topology::AsId::from_index(i)))
         .collect();
 
+    let mut table = RouteTable::new(engine.oracle());
     for (asx, srcs) in by_dst {
         let Some(&dst_id) = as_index.get(&asx) else {
             continue;
@@ -184,7 +186,7 @@ pub fn analyze(
         let Some(dst_addr) = prefix.addr_at(prefix.num_addresses() / 2) else {
             continue;
         };
-        let table = engine.oracle().routes_to(dst_id);
+        engine.oracle().routes_into(dst_id, &mut table);
         for asr in srcs {
             let Some(&src_id) = as_index.get(&asr) else {
                 continue;

@@ -251,7 +251,8 @@ impl CorpusPlan {
     /// Traces the destinations in `range` on an existing engine. The
     /// engine is `Sync` (its routing oracle precomputes all indexes and
     /// holds no interior mutability), so worker threads share one
-    /// instance; the engine must have been built with the plan's
+    /// instance; each shard owns one route table, refilled per
+    /// destination. The engine must have been built with the plan's
     /// corpus seed for the output to match [`build_corpus`].
     pub fn trace_shard_on(
         &self,
@@ -259,8 +260,9 @@ impl CorpusPlan {
         range: std::ops::Range<usize>,
     ) -> Vec<Traceroute> {
         let mut out = Vec::new();
+        let mut table = RouteTable::new(engine.oracle());
         for &dst in &self.dsts[range] {
-            let table = engine.oracle().routes_to(dst);
+            engine.oracle().routes_into(dst, &mut table);
             for (src, dst_addr) in &self.plans[&dst] {
                 if let Some(tr) = engine.trace(&table, *src, *dst_addr) {
                     out.push(tr);
@@ -457,8 +459,46 @@ mod tests {
         let b = build_corpus(&w, CorpusConfig::default());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.dst, y.dst);
-            assert_eq!(x.hops.len(), y.hops.len());
+            assert_eq!(x, y);
+        }
+    }
+
+    /// `stable_hash` over every hop's address and RTT bits, with the
+    /// trace boundaries and unanswered TTLs folded in.
+    fn corpus_digest(corpus: &[Traceroute]) -> u64 {
+        let mut words = Vec::new();
+        for tr in corpus {
+            words.push(u64::from(u32::from(tr.src)));
+            words.push(u64::from(u32::from(tr.dst)));
+            words.push(tr.hops.len() as u64);
+            for hop in &tr.hops {
+                match hop {
+                    Some(s) => {
+                        words.push(u64::from(u32::from(s.addr)));
+                        words.push(s.rtt_ms.to_bits());
+                    }
+                    None => words.push(u64::MAX),
+                }
+            }
+        }
+        stable_hash(&words)
+    }
+
+    /// Pins the corpus bytes: any change to route tables, interconnect
+    /// picks, hop expansion or the latency model moves these digests.
+    #[test]
+    fn corpus_digest_is_pinned() {
+        for (seed, traces, digest) in [
+            (7, 2971usize, 2132044197706669303u64),
+            (42, 2975, 16706059221398838018),
+        ] {
+            let w = WorldConfig::small(seed).generate();
+            let corpus = build_corpus(&w, CorpusConfig::default());
+            assert_eq!(
+                (corpus.len(), corpus_digest(&corpus)),
+                (traces, digest),
+                "corpus of small seed {seed} moved"
+            );
         }
     }
 }

@@ -46,7 +46,7 @@ pub enum RouteKind {
 }
 
 /// A routing table entry towards one destination AS.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteEntry {
     /// Route class.
     pub kind: RouteKind,
@@ -58,23 +58,147 @@ pub struct RouteEntry {
     pub via: Option<EdgeKind>,
 }
 
-/// All best routes towards one destination AS.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    /// The destination.
-    pub dst: AsId,
-    entries: HashMap<AsId, RouteEntry>,
+/// `Slot::next` at the destination itself.
+const NO_NEXT: u32 = u32::MAX;
+
+/// One AS's route in a [`RouteTable`]. It holds a route only while
+/// `stamp` equals the table's generation; stamp 0 never does.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    stamp: u32,
+    next: u32,
+    len: u32,
+    kind: RouteKind,
 }
 
-impl RouteTable {
-    /// The entry for `src`, if `src` can reach the destination.
-    pub fn entry(&self, src: AsId) -> Option<&RouteEntry> {
-        self.entries.get(&src)
+impl Slot {
+    const EMPTY: Slot = Slot {
+        stamp: 0,
+        next: NO_NEXT,
+        len: 0,
+        kind: RouteKind::Customer,
+    };
+}
+
+/// All best routes towards one destination AS.
+///
+/// Routes live in a dense slot array indexed by [`AsId`] plus the list
+/// of ASes that hold one. [`RoutingOracle::routes_into`] refills a
+/// table in place: it bumps the generation instead of clearing the
+/// slots, so a reused table needs no O(world) reset and no new
+/// allocation per destination. Peer routes store only their next hop;
+/// the table borrows its oracle and picks the interconnect when the
+/// route is read ([`RouteTable::entry`], [`RouteTable::as_path`]).
+#[derive(Clone)]
+pub struct RouteTable<'o> {
+    oracle: &'o RoutingOracle<'o>,
+    dst: AsId,
+    generation: u32,
+    slots: Vec<Slot>,
+    reached: Vec<AsId>,
+    // Wave scratch, kept so refills reuse its allocations.
+    queue: VecDeque<AsId>,
+    order: Vec<u64>,
+}
+
+impl std::fmt::Debug for RouteTable<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RouteTable")
+            .field("dst", &self.dst)
+            .field("reachable", &self.reached.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'o> RouteTable<'o> {
+    /// An empty table for `oracle`'s world (no AS reaches anything),
+    /// to be filled by [`RoutingOracle::routes_into`].
+    pub fn new(oracle: &'o RoutingOracle<'o>) -> Self {
+        RouteTable {
+            oracle,
+            dst: AsId(0),
+            generation: 1,
+            slots: vec![Slot::EMPTY; oracle.world.ases.len()],
+            reached: Vec::new(),
+            queue: VecDeque::new(),
+            order: Vec::new(),
+        }
+    }
+
+    /// The destination the table routes towards.
+    pub fn dst(&self) -> AsId {
+        self.dst
+    }
+
+    fn slot(&self, a: AsId) -> Option<&Slot> {
+        self.slots
+            .get(a.index())
+            .filter(|s| s.stamp == self.generation)
+    }
+
+    /// Installs (or overwrites) `a`'s route.
+    fn set(&mut self, a: AsId, kind: RouteKind, len: u32, next: u32) {
+        let slot = &mut self.slots[a.index()];
+        if slot.stamp != self.generation {
+            self.reached.push(a);
+        }
+        *slot = Slot {
+            stamp: self.generation,
+            next,
+            len,
+            kind,
+        };
+    }
+
+    /// Starts a new generation towards `dst`: every slot goes stale at
+    /// once. Stamps are reset only when the generation counter wraps.
+    fn restart(&mut self, oracle: &'o RoutingOracle<'o>, dst: AsId) {
+        let n = oracle.world.ases.len();
+        self.oracle = oracle;
+        self.dst = dst;
+        self.reached.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 || self.slots.len() != n {
+            self.slots.clear();
+            self.slots.resize(n, Slot::EMPTY);
+            self.generation = 1;
+        }
+    }
+
+    /// Sort keys `(len, AsId)` of every AS holding a route, ascending.
+    fn fill_order_by_len(&mut self) {
+        self.order.clear();
+        for &a in &self.reached {
+            let len = self.slots[a.index()].len;
+            self.order.push(u64::from(len) << 32 | u64::from(a.0));
+        }
+        self.order.sort_unstable();
+    }
+
+    /// The entry for `src`, if `src` can reach the destination. A peer
+    /// route's interconnect is picked here, from the table's oracle.
+    pub fn entry(&self, src: AsId) -> Option<RouteEntry> {
+        let slot = self.slot(src)?;
+        let next = (slot.next != NO_NEXT).then_some(AsId(slot.next));
+        let via = next.map(|y| match slot.kind {
+            RouteKind::Peer => self.oracle.pick_interconnect(src, y).expect(
+                "peers_of and interconnect_options agree: private peers and \
+                 the PNI index both come from private_links, and open \
+                 co-members list their common IXP in ixps_of",
+            ),
+            RouteKind::Customer | RouteKind::Provider => EdgeKind::Transit,
+        });
+        Some(RouteEntry {
+            kind: slot.kind,
+            len: slot.len,
+            next,
+            via,
+        })
     }
 
     /// Number of ASes that can reach the destination.
     pub fn reachable_count(&self) -> usize {
-        self.entries.len()
+        self.reached.len()
     }
 
     /// Reconstructs the AS-level path `src → dst` with the edges used.
@@ -82,16 +206,14 @@ impl RouteTable {
     pub fn as_path(&self, src: AsId) -> Option<Vec<(AsId, Option<EdgeKind>)>> {
         let mut path = Vec::new();
         let mut cur = src;
-        let mut guard = 0;
         loop {
-            let e = self.entries.get(&cur)?;
+            let e = self.entry(cur)?;
             path.push((cur, e.via));
             match e.next {
                 Some(n) => cur = n,
                 None => return Some(path),
             }
-            guard += 1;
-            if guard > 64 {
+            if path.len() > 64 {
                 return None; // defensive: corrupt table
             }
         }
@@ -284,126 +406,79 @@ impl<'w> RoutingOracle<'w> {
     }
 
     /// Computes best routes from every AS towards `dst` (Gao–Rexford
-    /// three-wave construction).
-    pub fn routes_to(&self, dst: AsId) -> RouteTable {
-        let mut entries: HashMap<AsId, RouteEntry> = HashMap::new();
-        entries.insert(
-            dst,
-            RouteEntry {
-                kind: RouteKind::Customer,
-                len: 0,
-                next: None,
-                via: None,
-            },
-        );
+    /// three-wave construction) into a fresh table. Callers that route
+    /// towards many destinations should refill one table with
+    /// [`RoutingOracle::routes_into`] instead.
+    pub fn routes_to(&self, dst: AsId) -> RouteTable<'_> {
+        let mut table = RouteTable::new(self);
+        self.routes_into(dst, &mut table);
+        table
+    }
+
+    /// Refills `table` with the best routes from every AS towards `dst`
+    /// (Gao–Rexford three-wave construction), reusing its storage.
+    pub fn routes_into<'o>(&'o self, dst: AsId, table: &mut RouteTable<'o>) {
+        table.restart(self, dst);
+        table.set(dst, RouteKind::Customer, 0, NO_NEXT);
+        let mut queue = std::mem::take(&mut table.queue);
+        queue.clear();
 
         // Wave 1 — customer routes: BFS up the provider DAG from dst.
-        let mut queue = VecDeque::new();
         queue.push_back(dst);
         while let Some(x) = queue.pop_front() {
-            let xlen = entries[&x].len;
+            let xlen = table.slots[x.index()].len;
             for &p in self.world.providers_of(x) {
-                let better = match entries.get(&p) {
+                let better = match table.slot(p) {
                     None => true,
                     Some(e) => e.kind == RouteKind::Customer && xlen + 1 < e.len,
                 };
                 if better {
-                    entries.insert(
-                        p,
-                        RouteEntry {
-                            kind: RouteKind::Customer,
-                            len: xlen + 1,
-                            next: Some(x),
-                            via: Some(EdgeKind::Transit),
-                        },
-                    );
+                    table.set(p, RouteKind::Customer, xlen + 1, x.0);
                     queue.push_back(p);
                 }
             }
         }
 
-        // Wave 2 — peer routes: single peer hop into the customer cone.
-        // (Sorted for determinism: HashMap iteration order is random.)
-        let mut cone: Vec<(AsId, u32)> = entries.iter().map(|(&a, e)| (a, e.len)).collect();
-        cone.sort_by_key(|&(a, l)| (l, a));
-        for (y, ylen) in cone {
-            for x in self.peers_of(y).iter().copied() {
-                if entries
-                    .get(&x)
-                    .is_some_and(|e| e.kind == RouteKind::Customer)
-                {
-                    continue; // customer route wins
-                }
-                // The interconnect is picked lazily after the table settles:
-                // computing it per candidate dominated table construction.
-                let cand = RouteEntry {
-                    kind: RouteKind::Peer,
-                    len: ylen + 1,
-                    next: Some(y),
-                    via: None,
-                };
-                let replace = match entries.get(&x) {
+        // Wave 2 — peer routes: single peer hop into the customer cone,
+        // visited by (length, AsId). No interconnect is stored:
+        // `RouteTable::entry` picks it when a route is read, and most
+        // peer routes never are.
+        table.fill_order_by_len();
+        let cone = std::mem::take(&mut table.order);
+        for &key in &cone {
+            let (y, ylen) = (AsId(key as u32), (key >> 32) as u32);
+            for &x in self.peers_of(y) {
+                let replace = match table.slot(x) {
                     None => true,
-                    Some(e) => {
-                        cand.len < e.len
-                            || (cand.len == e.len && cand.next.map(|n| n.0) < e.next.map(|n| n.0))
-                    }
+                    Some(e) if e.kind == RouteKind::Customer => false, // customer route wins
+                    Some(e) => ylen + 1 < e.len || (ylen + 1 == e.len && y.0 < e.next),
                 };
                 if replace {
-                    entries.insert(x, cand);
+                    table.set(x, RouteKind::Peer, ylen + 1, y.0);
                 }
             }
         }
+        table.order = cone;
 
         // Wave 3 — provider routes: everything with a route advertises to
-        // its customers; customers prefer the shortest.
-        // (Sorted seeding keeps tie-breaking deterministic.)
-        let mut seeds: Vec<AsId> = entries.keys().copied().collect();
-        seeds.sort_by_key(|a| (entries[a].len, *a));
-        let mut queue: VecDeque<AsId> = seeds.into();
+        // its customers; customers prefer the shortest. Seeded by
+        // (length, AsId), which keeps tie-breaking deterministic.
+        table.fill_order_by_len();
+        queue.extend(table.order.iter().map(|&key| AsId(key as u32)));
         while let Some(z) = queue.pop_front() {
-            let zlen = entries[&z].len;
+            let zlen = table.slots[z.index()].len;
             for &c in self.world.customers_of(z) {
-                let better = match entries.get(&c) {
+                let better = match table.slot(c) {
                     None => true,
                     Some(e) => e.kind == RouteKind::Provider && zlen + 1 < e.len,
                 };
                 if better {
-                    entries.insert(
-                        c,
-                        RouteEntry {
-                            kind: RouteKind::Provider,
-                            len: zlen + 1,
-                            next: Some(z),
-                            via: Some(EdgeKind::Transit),
-                        },
-                    );
+                    table.set(c, RouteKind::Provider, zlen + 1, z.0);
                     queue.push_back(c);
                 }
             }
         }
-
-        // Fill peer-route interconnects now that winners are settled.
-        let peer_routes: Vec<(AsId, AsId)> = entries
-            .iter()
-            .filter(|(_, e)| e.kind == RouteKind::Peer)
-            .filter_map(|(&x, e)| e.next.map(|y| (x, y)))
-            .collect();
-        for (x, y) in peer_routes {
-            let via = self.pick_interconnect(x, y);
-            match via {
-                Some(v) => {
-                    entries.get_mut(&x).expect("entry exists").via = Some(v);
-                }
-                None => {
-                    // Defensive: adjacency came from peers_of, so an
-                    // interconnect must exist; drop the entry otherwise.
-                    entries.remove(&x);
-                }
-            }
-        }
-
-        RouteTable { dst, entries }
+        table.queue = queue;
     }
 
     /// Peers of `y`: private-link neighbors plus open co-members at its
@@ -703,6 +778,102 @@ mod tests {
             assert_eq!(path.last().expect("non-empty").0, dst);
             assert!(path.len() <= 12, "suspiciously long path {}", path.len());
         }
+    }
+
+    /// The invariant `RouteTable::entry` relies on when it picks a peer
+    /// route's interconnect.
+    #[test]
+    fn every_peer_has_an_interconnect() {
+        use crate::scenario::Scenario;
+        for seed in [11, 12] {
+            let base = WorldConfig::small(seed).generate();
+            let scenarios = [
+                Scenario::IxpOutage {
+                    ixp: "AMS-IX".into(),
+                },
+                Scenario::PortMigration {
+                    ixp: "AMS-IX".into(),
+                    count: 25,
+                },
+                Scenario::ResellerConsolidation,
+                Scenario::CapacityScaling {
+                    factor_permille: 2000,
+                },
+            ];
+            let worlds = std::iter::once(base.clone()).chain(scenarios.iter().map(|sc| {
+                sc.validate(&base).expect("scenario fits the small world");
+                sc.apply(&base)
+            }));
+            for w in worlds {
+                let oracle = RoutingOracle::new(&w);
+                let mut pairs = 0;
+                for i in 0..w.ases.len() {
+                    let x = AsId::from_index(i);
+                    for &y in oracle.peers_of(x) {
+                        assert!(
+                            !oracle.interconnect_options(x, y).is_empty(),
+                            "{x:?} peers with {y:?} over nothing"
+                        );
+                        pairs += 1;
+                    }
+                }
+                assert!(pairs > 0, "no peer pairs checked");
+            }
+        }
+    }
+
+    /// Every AS's entry, interconnects included.
+    fn all_entries(w: &World, table: &RouteTable<'_>) -> Vec<Option<RouteEntry>> {
+        (0..w.ases.len())
+            .map(|i| table.entry(AsId::from_index(i)))
+            .collect()
+    }
+
+    #[test]
+    fn refilled_table_equals_a_fresh_one() {
+        let w = world();
+        let oracle = RoutingOracle::new(&w);
+        let mut table = RouteTable::new(&oracle);
+        assert_eq!(table.reachable_count(), 0);
+        assert!(
+            table.entry(AsId(0)).is_none(),
+            "an empty table routes nothing"
+        );
+        let stride = (w.ases.len() / 10).max(1);
+        for d in (0..w.ases.len()).step_by(stride) {
+            let dst = AsId::from_index(d);
+            oracle.routes_into(dst, &mut table);
+            let fresh = oracle.routes_to(dst);
+            assert_eq!(table.dst(), dst);
+            assert_eq!(table.reachable_count(), fresh.reachable_count());
+            assert_eq!(
+                all_entries(&w, &table),
+                all_entries(&w, &fresh),
+                "towards {dst:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn generation_wrap_resets_every_slot() {
+        let w = world();
+        let oracle = RoutingOracle::new(&w);
+        let (a, b) = (w.memberships[0].member, w.memberships[3].member);
+        let mut table = oracle.routes_to(a);
+        // Age `a`'s routes to generation 1 and put the counter at its
+        // last value: the next refill wraps, and unless it resets every
+        // slot, `a`'s routes read as valid routes towards `b`.
+        for slot in &mut table.slots {
+            if slot.stamp == table.generation {
+                slot.stamp = 1;
+            }
+        }
+        table.generation = u32::MAX;
+        oracle.routes_into(b, &mut table);
+        assert_eq!(table.generation, 1);
+        let fresh = oracle.routes_to(b);
+        assert_eq!(table.reachable_count(), fresh.reachable_count());
+        assert_eq!(all_entries(&w, &table), all_entries(&w, &fresh));
     }
 
     #[test]
