@@ -186,7 +186,8 @@ pub fn analyze(
         let Some(dst_addr) = prefix.addr_at(prefix.num_addresses() / 2) else {
             continue;
         };
-        engine.oracle().routes_into(dst_id, &mut table);
+        let src_ids = srcs.iter().filter_map(|asr| as_index.get(asr).copied());
+        engine.oracle().routes_for(dst_id, src_ids, &mut table);
         for asr in srcs {
             let Some(&src_id) = as_index.get(&asr) else {
                 continue;

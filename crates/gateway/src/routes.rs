@@ -604,6 +604,39 @@ mod tests {
     }
 
     #[test]
+    fn a_maximum_size_string_body_gets_a_prompt_400() {
+        let world = world();
+        let svc = PeeringService::build(
+            InferenceInput::assemble_base(&world, 42),
+            &PipelineConfig::default(),
+            &ParallelConfig::new(2),
+        );
+        let snap = svc.snapshot();
+        let metrics = MetricsRegistry::default();
+        // One JSON string filling the default body cap.
+        let max = crate::config::GatewayConfig::default().max_body_bytes;
+        let mut body = vec![b'a'; max];
+        body[0] = b'"';
+        body[max - 1] = b'"';
+        let started = std::time::Instant::now();
+        let e = dispatch(
+            &post("/query", &body),
+            &snap,
+            Duration::ZERO,
+            None,
+            &metrics,
+        );
+        let took = started.elapsed();
+        assert_eq!(e.status, 400);
+        let err: Value = serde_json::from_slice(&e.body).expect("error body parses");
+        assert_eq!(err.get("error").and_then(Value::as_str), Some("bad_json"));
+        // Parsing quadratic in the string's length took 24–28 s on this
+        // body (release build, 2-vCPU host), pinning a gateway worker
+        // per request.
+        assert!(took < Duration::from_secs(1), "took {took:?}");
+    }
+
+    #[test]
     fn dispatch_covers_the_time_travel_surface() {
         use opeer_core::archive::SnapshotArchive;
         use opeer_core::evolution::monthly_deltas;

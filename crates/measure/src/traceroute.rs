@@ -140,8 +140,9 @@ impl<'w> TracerouteEngine<'w> {
         })
     }
 
-    /// Runs a traceroute, resolving the destination AS itself (one-off
-    /// convenience; corpus building batches by destination instead).
+    /// Runs a traceroute, resolving the destination AS itself and
+    /// routing only from `src` (one-off convenience; corpus building
+    /// batches by destination instead).
     pub fn trace_fresh(&self, src: AsId, dst_addr: Ipv4Addr) -> Option<Traceroute> {
         let dst_as = match self.world.iface_by_addr(dst_addr) {
             Some(ifc) => {
@@ -150,7 +151,8 @@ impl<'w> TracerouteEngine<'w> {
             }
             None => self.world.origin_of_addr(dst_addr)?,
         };
-        let table = self.oracle.routes_to(dst_as);
+        let mut table = RouteTable::new(&self.oracle);
+        self.oracle.routes_for(dst_as, [src], &mut table);
         self.trace(&table, src, dst_addr)
     }
 }
@@ -229,6 +231,13 @@ impl CorpusPlan {
         self.plans.values().map(Vec::len).sum()
     }
 
+    /// The `i`-th destination AS in sorted order, with its planned
+    /// `(source, target address)` pairs.
+    pub fn destination(&self, i: usize) -> (AsId, &[(AsId, Ipv4Addr)]) {
+        let dst = self.dsts[i];
+        (dst, &self.plans[&dst])
+    }
+
     /// Traces the destinations in `range` (indices into the sorted
     /// destination list) with a fresh engine.
     ///
@@ -252,8 +261,9 @@ impl CorpusPlan {
     /// engine is `Sync` (its routing oracle precomputes all indexes and
     /// holds no interior mutability), so worker threads share one
     /// instance; each shard owns one route table, refilled per
-    /// destination. The engine must have been built with the plan's
-    /// corpus seed for the output to match [`build_corpus`].
+    /// destination for that destination's sources only. The engine must
+    /// have been built with the plan's corpus seed for the output to
+    /// match [`build_corpus`].
     pub fn trace_shard_on(
         &self,
         engine: &TracerouteEngine<'_>,
@@ -261,10 +271,12 @@ impl CorpusPlan {
     ) -> Vec<Traceroute> {
         let mut out = Vec::new();
         let mut table = RouteTable::new(engine.oracle());
-        for &dst in &self.dsts[range] {
-            engine.oracle().routes_into(dst, &mut table);
-            for (src, dst_addr) in &self.plans[&dst] {
-                if let Some(tr) = engine.trace(&table, *src, *dst_addr) {
+        for i in range {
+            let (dst, pairs) = self.destination(i);
+            let sources = pairs.iter().map(|&(src, _)| src);
+            engine.oracle().routes_for(dst, sources, &mut table);
+            for &(src, dst_addr) in pairs {
+                if let Some(tr) = engine.trace(&table, src, dst_addr) {
                     out.push(tr);
                 }
             }

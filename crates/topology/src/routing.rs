@@ -80,21 +80,30 @@ impl Slot {
     };
 }
 
-/// All best routes towards one destination AS.
+/// Best routes towards one destination AS, from every AS (a full
+/// table) or from a set of sources (a scoped table).
 ///
 /// Routes live in a dense slot array indexed by [`AsId`] plus the list
 /// of ASes that hold one. [`RoutingOracle::routes_into`] refills a
 /// table in place: it bumps the generation instead of clearing the
 /// slots, so a reused table needs no O(world) reset and no new
-/// allocation per destination. Peer routes store only their next hop;
-/// the table borrows its oracle and picks the interconnect when the
-/// route is read ([`RouteTable::entry`], [`RouteTable::as_path`]).
+/// allocation per destination. [`RoutingOracle::routes_for`] refills it
+/// for some sources only; a scoped table answers for those sources,
+/// the ASes above them in the provider DAG and the destination's
+/// customer cone. Peer routes store only their next hop; the table
+/// borrows its oracle and picks the interconnect when the route is read
+/// ([`RouteTable::entry`], [`RouteTable::as_path`]).
 #[derive(Clone)]
 pub struct RouteTable<'o> {
     oracle: &'o RoutingOracle<'o>,
     dst: AsId,
     generation: u32,
     slots: Vec<Slot>,
+    /// Whether this fill routes only the ASes marked in `scope`.
+    scoped: bool,
+    /// `scope[a] == generation` marks `a` in a scoped fill's scope;
+    /// stamped and reset like `slots`.
+    scope: Vec<u32>,
     reached: Vec<AsId>,
     // Wave scratch, kept so refills reuse its allocations.
     queue: VecDeque<AsId>,
@@ -105,6 +114,7 @@ impl std::fmt::Debug for RouteTable<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouteTable")
             .field("dst", &self.dst)
+            .field("scoped", &self.scoped)
             .field("reachable", &self.reached.len())
             .finish_non_exhaustive()
     }
@@ -112,13 +122,17 @@ impl std::fmt::Debug for RouteTable<'_> {
 
 impl<'o> RouteTable<'o> {
     /// An empty table for `oracle`'s world (no AS reaches anything),
-    /// to be filled by [`RoutingOracle::routes_into`].
+    /// to be filled by [`RoutingOracle::routes_into`] or
+    /// [`RoutingOracle::routes_for`].
     pub fn new(oracle: &'o RoutingOracle<'o>) -> Self {
+        let n = oracle.world.ases.len();
         RouteTable {
             oracle,
             dst: AsId(0),
             generation: 1,
-            slots: vec![Slot::EMPTY; oracle.world.ases.len()],
+            slots: vec![Slot::EMPTY; n],
+            scoped: false,
+            scope: vec![0; n],
             reached: Vec::new(),
             queue: VecDeque::new(),
             order: Vec::new(),
@@ -150,19 +164,46 @@ impl<'o> RouteTable<'o> {
         };
     }
 
-    /// Starts a new generation towards `dst`: every slot goes stale at
-    /// once. Stamps are reset only when the generation counter wraps.
-    fn restart(&mut self, oracle: &'o RoutingOracle<'o>, dst: AsId) {
+    /// Starts a new generation towards `dst`: every slot and scope mark
+    /// goes stale at once. Stamps are reset only when the generation
+    /// counter wraps.
+    fn restart(&mut self, oracle: &'o RoutingOracle<'o>, dst: AsId, scoped: bool) {
         let n = oracle.world.ases.len();
         self.oracle = oracle;
         self.dst = dst;
+        self.scoped = scoped;
         self.reached.clear();
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 || self.slots.len() != n {
             self.slots.clear();
             self.slots.resize(n, Slot::EMPTY);
+            self.scope.clear();
+            self.scope.resize(n, 0);
             self.generation = 1;
         }
+    }
+
+    /// Marks `sources` and every AS above them in the provider DAG:
+    /// the scope of a scoped fill.
+    fn mark_scope(&mut self, sources: impl IntoIterator<Item = AsId>) {
+        let (world, generation) = (self.oracle.world, self.generation);
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        queue.extend(sources);
+        while let Some(x) = queue.pop_front() {
+            let mark = &mut self.scope[x.index()];
+            if *mark != generation {
+                *mark = generation;
+                queue.extend(world.providers_of(x));
+            }
+        }
+        self.queue = queue;
+    }
+
+    /// Whether this fill routes `a`: every AS in a full fill, the
+    /// marked ones in a scoped fill.
+    fn in_scope(&self, a: AsId) -> bool {
+        !self.scoped || self.scope[a.index()] == self.generation
     }
 
     /// Sort keys `(len, AsId)` of every AS holding a route, ascending.
@@ -177,7 +218,18 @@ impl<'o> RouteTable<'o> {
 
     /// The entry for `src`, if `src` can reach the destination. A peer
     /// route's interconnect is picked here, from the table's oracle.
+    ///
+    /// A scoped table answers only for its scope and the destination's
+    /// customer cone; debug builds panic on any other AS.
     pub fn entry(&self, src: AsId) -> Option<RouteEntry> {
+        debug_assert!(
+            self.in_scope(src)
+                || self
+                    .slot(src)
+                    .is_some_and(|s| s.kind == RouteKind::Customer),
+            "{src:?} is outside the scope of this table towards {:?}",
+            self.dst
+        );
         let slot = self.slot(src)?;
         let next = (slot.next != NO_NEXT).then_some(AsId(slot.next));
         let via = next.map(|y| match slot.kind {
@@ -196,7 +248,9 @@ impl<'o> RouteTable<'o> {
         })
     }
 
-    /// Number of ASes that can reach the destination.
+    /// Number of ASes that can reach the destination. Only a full
+    /// table ([`RoutingOracle::routes_into`]) counts every one; a
+    /// scoped table counts those it routed.
     pub fn reachable_count(&self) -> usize {
         self.reached.len()
     }
@@ -408,7 +462,8 @@ impl<'w> RoutingOracle<'w> {
     /// Computes best routes from every AS towards `dst` (Gao–Rexford
     /// three-wave construction) into a fresh table. Callers that route
     /// towards many destinations should refill one table with
-    /// [`RoutingOracle::routes_into`] instead.
+    /// [`RoutingOracle::routes_into`] instead, and callers that read
+    /// only some sources' paths should use [`RoutingOracle::routes_for`].
     pub fn routes_to(&self, dst: AsId) -> RouteTable<'_> {
         let mut table = RouteTable::new(self);
         self.routes_into(dst, &mut table);
@@ -418,7 +473,39 @@ impl<'w> RoutingOracle<'w> {
     /// Refills `table` with the best routes from every AS towards `dst`
     /// (Gao–Rexford three-wave construction), reusing its storage.
     pub fn routes_into<'o>(&'o self, dst: AsId, table: &mut RouteTable<'o>) {
-        table.restart(self, dst);
+        table.restart(self, dst, false);
+        self.fill(table);
+    }
+
+    /// Refills `table` with the best routes from `sources` towards
+    /// `dst`: the same three waves, with waves 2 and 3 limited to the
+    /// sources and the ASes above them in the provider DAG. Each
+    /// source's route and path equal those of a full table.
+    pub fn routes_for<'o>(
+        &'o self,
+        dst: AsId,
+        sources: impl IntoIterator<Item = AsId>,
+        table: &mut RouteTable<'o>,
+    ) {
+        table.restart(self, dst, true);
+        table.mark_scope(sources);
+        self.fill(table);
+    }
+
+    /// The three waves into a restarted `table`, over its scope.
+    ///
+    /// A scoped fill routes every AS in its scope as a full fill does.
+    /// Wave 1 routes the whole customer cone. An AS's peer route reads
+    /// only the cone and its own slot, so wave 2 may skip the others.
+    /// Wave 3 seeds the in-scope ASes in the full fill's order, and
+    /// queues an in-scope AS only while popping one of its providers,
+    /// which the scope holds too; no AS outside the scope is a provider
+    /// of one inside. So the in-scope entries leave the queue in the
+    /// same order as in a full fill, read the same lengths and take the
+    /// same decisions. A path from a source climbs in-scope providers,
+    /// then takes at most one peer hop into the cone.
+    fn fill<'o>(&'o self, table: &mut RouteTable<'o>) {
+        let dst = table.dst;
         table.set(dst, RouteKind::Customer, 0, NO_NEXT);
         let mut queue = std::mem::take(&mut table.queue);
         queue.clear();
@@ -448,6 +535,9 @@ impl<'w> RoutingOracle<'w> {
         for &key in &cone {
             let (y, ylen) = (AsId(key as u32), (key >> 32) as u32);
             for &x in self.peers_of(y) {
+                if !table.in_scope(x) {
+                    continue;
+                }
                 let replace = match table.slot(x) {
                     None => true,
                     Some(e) if e.kind == RouteKind::Customer => false, // customer route wins
@@ -464,10 +554,19 @@ impl<'w> RoutingOracle<'w> {
         // its customers; customers prefer the shortest. Seeded by
         // (length, AsId), which keeps tie-breaking deterministic.
         table.fill_order_by_len();
-        queue.extend(table.order.iter().map(|&key| AsId(key as u32)));
+        queue.extend(
+            table
+                .order
+                .iter()
+                .map(|&key| AsId(key as u32))
+                .filter(|&z| table.in_scope(z)),
+        );
         while let Some(z) = queue.pop_front() {
             let zlen = table.slots[z.index()].len;
             for &c in self.world.customers_of(z) {
+                if !table.in_scope(c) {
+                    continue;
+                }
                 let better = match table.slot(c) {
                     None => true,
                     Some(e) => e.kind == RouteKind::Provider && zlen + 1 < e.len,
@@ -488,15 +587,17 @@ impl<'w> RoutingOracle<'w> {
         &self.peers[y.index()]
     }
 
-    /// AS-level path from `src` to `dst`.
+    /// AS-level path from `src` to `dst`, from a table scoped to `src`.
     pub fn as_path(&self, src: AsId, dst: AsId) -> Option<Vec<(AsId, Option<EdgeKind>)>> {
-        self.routes_to(dst).as_path(src)
+        let mut table = RouteTable::new(self);
+        self.routes_for(dst, [src], &mut table);
+        table.as_path(src)
     }
 
     /// Expands an AS path to the traceroute hop sequence towards
     /// `dst_addr`. `table` must be the route table of the destination AS
-    /// owning `dst_addr` (dst-major callers reuse one table for many
-    /// sources).
+    /// owning `dst_addr`, full or scoped to include `src` (dst-major
+    /// callers reuse one table for many sources).
     pub fn trace_hops(
         &self,
         table: &RouteTable,
@@ -874,6 +975,45 @@ mod tests {
         let fresh = oracle.routes_to(b);
         assert_eq!(table.reachable_count(), fresh.reachable_count());
         assert_eq!(all_entries(&w, &table), all_entries(&w, &fresh));
+    }
+
+    #[test]
+    fn generation_wrap_resets_scope_marks() {
+        let w = world();
+        let oracle = RoutingOracle::new(&w);
+        let (a, b) = (w.memberships[0].member, w.memberships[3].member);
+        let src = w.memberships.last().expect("memberships exist").member;
+        let everyone = (0..w.ases.len()).map(AsId::from_index);
+        let mut table = RouteTable::new(&oracle);
+        oracle.routes_for(a, everyone, &mut table);
+        // Age every mark and route to generation 1 and put the counter
+        // at its last value: unless the wrap resets the marks, the next
+        // fill routes every AS instead of `src`'s scope.
+        let generation = table.generation;
+        for mark in &mut table.scope {
+            if *mark == generation {
+                *mark = 1;
+            }
+        }
+        for slot in &mut table.slots {
+            if slot.stamp == generation {
+                slot.stamp = 1;
+            }
+        }
+        table.generation = u32::MAX;
+        oracle.routes_for(b, [src], &mut table);
+        assert_eq!(table.generation, 1);
+        let mut fresh = RouteTable::new(&oracle);
+        oracle.routes_for(b, [src], &mut fresh);
+        let scope = |t: &RouteTable<'_>| -> Vec<usize> {
+            (0..w.ases.len())
+                .filter(|&i| t.in_scope(AsId::from_index(i)))
+                .collect()
+        };
+        assert_eq!(scope(&table), scope(&fresh));
+        assert!(scope(&fresh).len() < w.ases.len(), "vacuous scope");
+        assert_eq!(table.reachable_count(), fresh.reachable_count());
+        assert_eq!(table.as_path(src), fresh.as_path(src));
     }
 
     #[test]
