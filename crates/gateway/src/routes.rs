@@ -815,4 +815,105 @@ mod tests {
 
         assert_eq!(metrics.panics(), 0);
     }
+
+    #[test]
+    fn time_travel_bodies_equal_the_live_route_bodies() {
+        use opeer_core::archive::SnapshotArchive;
+        use opeer_core::evolution::monthly_deltas;
+
+        let world = world();
+        let svc = PeeringService::build(
+            InferenceInput::assemble_base(&world, 42),
+            &PipelineConfig::default(),
+            &ParallelConfig::new(2),
+        );
+        let archive = SnapshotArchive::attach(&svc);
+        for delta in monthly_deltas(&world, 42, 0..=1) {
+            archive.apply(delta);
+        }
+        let live = svc.snapshot();
+        let metrics = MetricsRegistry::default();
+        let age = Duration::from_millis(10);
+        let inf = &live.result().inferences[0];
+        let ixp_s = inf.ixp.to_string();
+        let iface_s = inf.addr.to_string();
+        let asn_s = inf.asn.value().to_string();
+        let latest = archive.latest_epoch().expect("archive non-empty");
+
+        let known: [(&str, Vec<(&str, &str)>); 4] = [
+            ("/verdict", vec![("ixp", &ixp_s), ("iface", &iface_s)]),
+            ("/asn", vec![("asn", &asn_s)]),
+            ("/ixp", vec![("ixp", &ixp_s)]),
+            ("/explain", vec![("iface", &iface_s)]),
+        ];
+        let unknown: [(&str, Vec<(&str, &str)>); 4] = [
+            (
+                "/verdict",
+                vec![("ixp", "999999"), ("iface", "203.0.113.1")],
+            ),
+            ("/asn", vec![("asn", "64999")]),
+            ("/ixp", vec![("ixp", "999999")]),
+            ("/explain", vec![("iface", "203.0.113.1")]),
+        ];
+        fn at_epoch<'a>(params: &[(&'a str, &'a str)], epoch: &'a str) -> Vec<(&'a str, &'a str)> {
+            let mut params = params.to_vec();
+            params.push(("epoch", epoch));
+            params
+        }
+
+        // `epoch=<latest>` answers exactly what the live route answers.
+        for (path, params) in known.iter().chain(&unknown) {
+            let live_body = dispatch(&get(path, params), &live, age, None, &metrics);
+            let travelled = dispatch(
+                &get(path, &at_epoch(params, &latest.to_string())),
+                &live,
+                age,
+                Some(&archive),
+                &metrics,
+            );
+            assert_eq!(travelled.status, live_body.status, "{path} {params:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&travelled.body),
+                String::from_utf8_lossy(&live_body.body),
+                "{path} {params:?}"
+            );
+        }
+
+        // At every archived epoch, `epoch=` answers what the live route
+        // answers while that epoch's snapshot is live; for an unknown
+        // entity that is a 404 with its `service_error` member.
+        for epoch in 0..=latest {
+            let snapshot = archive.at(epoch).expect("archived epoch");
+            for (i, (path, params)) in known.iter().chain(&unknown).enumerate() {
+                let live_body = dispatch(&get(path, params), &snapshot, age, None, &metrics);
+                let travelled = dispatch(
+                    &get(path, &at_epoch(params, &epoch.to_string())),
+                    &live,
+                    age,
+                    Some(&archive),
+                    &metrics,
+                );
+                assert_eq!(
+                    travelled.status, live_body.status,
+                    "{path} at epoch {epoch}"
+                );
+                assert_eq!(
+                    String::from_utf8_lossy(&travelled.body),
+                    String::from_utf8_lossy(&live_body.body),
+                    "{path} at epoch {epoch}"
+                );
+                if i >= known.len() {
+                    assert_eq!(travelled.status, 404, "{path} at epoch {epoch}");
+                    let body: Value =
+                        serde_json::from_slice(&travelled.body).expect("error body parses");
+                    assert_eq!(body.get("error").and_then(Value::as_str), Some("not_found"));
+                    assert!(
+                        body.get("service_error").is_some(),
+                        "{path} at epoch {epoch}"
+                    );
+                }
+            }
+        }
+        assert_eq!(metrics.panics(), 0);
+    }
 }
