@@ -66,8 +66,9 @@ pub struct ArchiveReport {
     pub epochs_archived: usize,
     /// Time-travel queries issued by the throughput leg.
     pub queries: usize,
-    /// Archive point-query throughput: `verdict_at` calls/sec,
-    /// round-robin over every archived epoch.
+    /// Archive point-query throughput: `at(epoch)` plus
+    /// `Snapshot::verdict` calls/sec, round-robin over every archived
+    /// epoch.
     pub query_qps: f64,
     /// [`SnapshotArchive::retained_bytes`] after the replay (deep
     /// size, shared partitions counted once).
@@ -154,7 +155,10 @@ pub fn run_archive_study(
         for q in 0..QUERY_COUNT {
             let (ixp, addr) = targets[q % targets.len()];
             let epoch = (q % epochs_archived) as u64;
-            if archive.verdict_at(ixp, addr, epoch).is_ok() {
+            if archive
+                .at(epoch)
+                .is_ok_and(|snapshot| snapshot.verdict(ixp, addr).is_ok())
+            {
                 hits += 1;
             }
         }

@@ -24,11 +24,12 @@
 //! experiment into the output directory and prints the text reports to
 //! stdout. The default output directory is `target/experiments`.
 //!
-//! Bench mode sweeps the sharded parallel engine over 1/2/4/8 worker
-//! threads against the sequential reference — three phases: measurement
-//! assembly (`assemble_parallel`), inference (`run_pipeline_parallel`),
-//! and the overlapped end-to-end path (`assemble_and_run_parallel`) —
-//! plus a streaming epoch replay through the incremental pipeline, a
+//! Bench mode sweeps the worker pool over 1/2/4/8 threads against the
+//! sequential references — three phases: measurement assembly
+//! (`assemble_parallel` vs `assemble`), inference
+//! (`IncrementalPipeline::new` vs `run_pipeline`, over inputs assembled
+//! outside the timed window), and the two back to back — plus a
+//! streaming epoch replay through the incremental pipeline, a
 //! serving-throughput sweep (reader threads querying the
 //! `PeeringService` while a writer streams epochs), the wire-level
 //! gateway load study (HTTP clients over loopback sockets against an

@@ -21,7 +21,7 @@
 //!   (`.txt` + `.json` pair) for the `run_experiments` binary.
 //! * [`run_scaling_study`] / [`ScalingReport`] — the engine scaling
 //!   study behind `run_experiments --bench-pipeline`: assembly,
-//!   pipeline, overlapped end-to-end, and streaming epoch-replay sweeps
+//!   pipeline, end-to-end, and streaming epoch-replay sweeps
 //!   with byte-identity gates, serialised as `BENCH_pipeline.json`
 //!   (schema documented in the README).
 //! * [`run_streaming_session`] / [`StreamingReport`] — the epoch replay

@@ -1,15 +1,14 @@
-//! The engine scaling study: sequential vs the sharded parallel engine
-//! at several thread counts — for the inference pipeline, for
-//! measurement assembly, and for the overlapped end-to-end path — plus
-//! the streaming epoch replay, the serving-throughput sweep, the
+//! The engine scaling study: sequential references vs the worker pool
+//! at several thread counts — for measurement assembly, for the
+//! inference pipeline, and for the two back to back — plus the
+//! streaming epoch replay, the serving-throughput sweep, the
 //! wire-level gateway load study, the longitudinal archive replay, and
 //! the structural-sharing memory study, with byte-identity checks and
 //! a machine-readable report (`BENCH_pipeline.json`, schema
 //! `opeer-bench-pipeline/9`).
 //!
-//! Used by the `pipeline_scaling` / `assembly_scaling` criterion
-//! benches and by `run_experiments --bench-pipeline` (which is what
-//! CI's bench-smoke job runs and archives). The README documents the
+//! Used by `run_experiments --bench-pipeline` (which is what CI's
+//! bench-smoke and perf jobs run and archive). The README documents the
 //! report schema field by field.
 
 use crate::archive::{run_archive_study, ArchiveReport};
@@ -17,7 +16,8 @@ use crate::gateway::{run_gateway_study, GatewayReport, DEFAULT_CONNECTION_SWEEP}
 use crate::memory::{run_memory_study, MemoryReport, DEFAULT_MEMORY_EPOCHS, DEFAULT_MEMORY_RETAIN};
 use crate::serving::{run_serving_study, ServingReport, DEFAULT_READER_SWEEP};
 use crate::streaming::{run_streaming_session, StreamingReport};
-use opeer_core::engine::{assemble_and_run_parallel, run_pipeline_parallel, ParallelConfig};
+use opeer_core::engine::ParallelConfig;
+use opeer_core::incremental::IncrementalPipeline;
 use opeer_core::pipeline::{run_pipeline, PipelineConfig};
 use opeer_core::InferenceInput;
 use opeer_topology::World;
@@ -107,18 +107,20 @@ pub struct ScalingReport {
     /// The machine's available parallelism when the study ran.
     pub host_parallelism: usize,
     /// Best pipeline-phase speedup across the thread sweep — the number
-    /// CI's perf gate floors (new in schema 6).
+    /// CI's perf gate floors (new in schema 6): `run_pipeline` against
+    /// `IncrementalPipeline::new`, the production parallel path.
     pub best_pipeline_speedup: f64,
     /// Measurement assembly: `InferenceInput::assemble` vs
     /// `assemble_parallel` (registry fusion + campaign + corpus +
     /// `prefix2as` sharded over the pool).
     pub assembly: PhaseScaling,
     /// The five-step inference: `run_pipeline` vs
-    /// `run_pipeline_parallel`.
+    /// `IncrementalPipeline::new` (the full recompute
+    /// `PeeringService::build` runs), each over an input assembled
+    /// outside the timed window.
     pub pipeline: PhaseScaling,
-    /// End to end: sequential `assemble` + `run_pipeline` vs the
-    /// overlapped `assemble_and_run_parallel` (corpus tracing runs
-    /// under steps 1–3).
+    /// End to end: sequential `assemble` + `run_pipeline` vs
+    /// `assemble_parallel` + `IncrementalPipeline::new`.
     pub end_to_end: PhaseScaling,
     /// Streaming epoch replay through the incremental pipeline:
     /// per-epoch wall-clock and dirty-shard counts, plus the cost of the
@@ -160,15 +162,16 @@ impl ScalingReport {
     }
 }
 
-/// Times `samples` runs of `f`, keeping the last result. `audit` runs
-/// on every sample's result **outside** the timed window — identity
-/// checks (a deep walk of the whole artifact set) must not be charged
-/// to the parallel runs they audit, or every reported speedup would be
-/// biased downward. The previous sample is likewise dropped before the
-/// clock starts.
-fn timed_audited<R>(
+/// Times `samples` runs of `f`, keeping the last result. `setup`
+/// builds each sample's argument and `audit` checks each sample's
+/// result, both **outside** the timed window — identity checks (a deep
+/// walk of the whole artifact set) must not be charged to the parallel
+/// runs they audit, or every reported speedup would be biased downward.
+/// The previous sample is likewise dropped before the clock starts.
+fn timed_audited<S, R>(
     samples: usize,
-    mut f: impl FnMut() -> R,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> R,
     mut audit: impl FnMut(&R) -> bool,
 ) -> (TimingMs, bool, R) {
     let mut times = Vec::with_capacity(samples);
@@ -176,8 +179,9 @@ fn timed_audited<R>(
     let mut last = None;
     for _ in 0..samples {
         drop(last.take());
+        let arg = setup();
         let t0 = Instant::now();
-        let r = f();
+        let r = f(arg);
         times.push(t0.elapsed().as_secs_f64() * 1e3);
         ok &= audit(&r);
         last = Some(r);
@@ -190,8 +194,8 @@ fn timed_audited<R>(
 }
 
 /// Times `samples` runs of `f` with no audit.
-fn timed<R>(samples: usize, f: impl FnMut() -> R) -> (TimingMs, R) {
-    let (timing, _, last) = timed_audited(samples, f, |_| true);
+fn timed<R>(samples: usize, mut f: impl FnMut() -> R) -> (TimingMs, R) {
+    let (timing, _, last) = timed_audited(samples, || (), |()| f(), |_| true);
     (timing, last)
 }
 
@@ -222,7 +226,8 @@ pub fn run_scaling_study(
         let par = ParallelConfig::new(threads);
         let (timing_ms, identical, _) = timed_audited(
             samples,
-            || InferenceInput::assemble_parallel(world, seed, &par),
+            || (),
+            |()| InferenceInput::assemble_parallel(world, seed, &par),
             |r| r.content_eq(&input),
         );
         assembly_points.push(ThreadPoint {
@@ -245,8 +250,9 @@ pub fn run_scaling_study(
         let par = ParallelConfig::new(threads);
         let (timing_ms, identical, _) = timed_audited(
             samples,
-            || run_pipeline_parallel(&input, &cfg, &par),
-            |r| *r == sequential,
+            || InferenceInput::assemble_parallel(world, seed, &par),
+            |assembled| IncrementalPipeline::new(assembled, &cfg, &par),
+            |pipe| *pipe.result() == sequential,
         );
         pipeline_points.push(ThreadPoint {
             threads,
@@ -261,7 +267,7 @@ pub fn run_scaling_study(
         points: pipeline_points,
     };
 
-    // ---- end to end (overlapped) ----
+    // ---- end to end ----
     // Sequential reference = assemble + infer back to back; its timing
     // is the sum of the phases already measured.
     let e2e_seq_ms = TimingMs {
@@ -274,8 +280,12 @@ pub fn run_scaling_study(
         let par = ParallelConfig::new(threads);
         let (timing_ms, identical, _) = timed_audited(
             samples,
-            || assemble_and_run_parallel(world, seed, &cfg, &par),
-            |(i, r)| i.content_eq(&input) && *r == sequential,
+            || (),
+            |()| {
+                let assembled = InferenceInput::assemble_parallel(world, seed, &par);
+                IncrementalPipeline::new(assembled, &cfg, &par)
+            },
+            |pipe| pipe.input().content_eq(&input) && *pipe.result() == sequential,
         );
         e2e_points.push(ThreadPoint {
             threads,

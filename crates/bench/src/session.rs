@@ -4,15 +4,16 @@
 //! traceroute corpus) and running the pipeline dominate runtime, so the
 //! experiments share one [`Session`] instead of rebuilding per figure.
 //!
-//! Since the serving-layer redesign the session *is* a
-//! [`PeeringService`]: the assembled input moves into the service's
-//! write side, the pipeline runs once on the engine's worker pool, and
-//! every experiment reads through the published epoch-0 [`Snapshot`]
+//! The session *is* a [`PeeringService`]: the input is assembled on the
+//! engine's worker pool and moves into the service's write side, the
+//! pipeline runs once there ([`PeeringService::build`]), and every
+//! experiment reads through the published epoch-0 [`Snapshot`]
 //! ([`Session::result`], [`Session::snapshot`]) or the write-side input
 //! guard ([`Session::input`]).
 
 use opeer_core::baseline::{run_baseline, DEFAULT_THRESHOLD_MS};
-use opeer_core::engine::{assemble_and_run_parallel, ParallelConfig};
+use opeer_core::engine::ParallelConfig;
+use opeer_core::input::InferenceInput;
 use opeer_core::pipeline::{PipelineConfig, PipelineResult};
 use opeer_core::service::{InputGuard, PeeringService, Snapshot};
 use opeer_core::types::Inference;
@@ -39,28 +40,18 @@ pub struct Session<'w> {
 
 impl<'w> Session<'w> {
     /// Builds the session: assembles the inputs on the engine's worker
-    /// pool via the overlapped path (`OPEER_THREADS` sizes it; corpus
-    /// tracing — the dominant assembly cost — runs under inference
-    /// steps 1–3), runs the baseline over them, then moves them into a
-    /// [`PeeringService`] whose construction re-runs the five-step
-    /// pipeline once as a warm incremental start. That re-run is ~1 %
-    /// of assembly at scale and is byte-identical to the overlapped
-    /// result (and to the sequential one-shot), so every experiment
-    /// sees the exact artifacts a sequential session would — the
-    /// debug assertion below cross-checks it on every test build.
+    /// pool (`OPEER_THREADS` sizes it), runs the baseline over them,
+    /// then moves them into a [`PeeringService`], which runs the
+    /// five-step pipeline once on the same pool. Both steps are
+    /// byte-identical to their sequential references, so every
+    /// experiment sees the exact artifacts a sequential session would.
     pub fn new(world: &'w World, seed: u64) -> Self {
         let par = ParallelConfig::from_env();
-        let cfg = PipelineConfig::default();
-        let (input, overlapped) = assemble_and_run_parallel(world, seed, &cfg, &par);
+        let input = InferenceInput::assemble_parallel(world, seed, &par);
         let baseline = run_baseline(&input, DEFAULT_THRESHOLD_MS);
         let control = run_control_campaign(world, CampaignConfig::control(seed));
-        let service = PeeringService::build(input, &cfg, &par);
+        let service = PeeringService::build(input, &PipelineConfig::default(), &par);
         let snapshot = service.snapshot();
-        debug_assert_eq!(
-            *snapshot.result(),
-            overlapped,
-            "warm service start diverged from the overlapped pipeline"
-        );
         Session {
             world,
             seed,
@@ -109,7 +100,6 @@ impl<'w> Session<'w> {
 mod tests {
     use super::*;
     use opeer_core::pipeline::run_pipeline;
-    use opeer_core::InferenceInput;
     use opeer_topology::WorldConfig;
 
     #[test]

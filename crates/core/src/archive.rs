@@ -15,11 +15,10 @@
 //!
 //! * **time travel** — [`SnapshotArchive::at`] /
 //!   [`SnapshotArchive::as_of`] / [`SnapshotArchive::range`] resolve
-//!   epochs to retained snapshots, and
-//!   [`SnapshotArchive::verdict_at`] / [`SnapshotArchive::asn_report_at`]
-//!   / [`SnapshotArchive::explain_at`] /
-//!   [`SnapshotArchive::ixp_report_at`] answer the service's typed
-//!   queries *as of* any archived epoch;
+//!   epochs to retained snapshots, whose typed queries
+//!   ([`Snapshot::verdict`], [`Snapshot::asn_report`],
+//!   [`Snapshot::ixp_report`], [`Snapshot::explain`]) then answer *as
+//!   of* that epoch;
 //! * **longitudinal aggregations** — per-IXP remote-share trend lines
 //!   ([`SnapshotArchive::trend`]), per-ASN verdict churn between
 //!   consecutive epochs ([`SnapshotArchive::churn`]), and per-epoch
@@ -61,11 +60,7 @@
 //! answers (`tests/archive_oracle.rs` exercises exactly this replay).
 
 use crate::incremental::{DirtyCounts, InputDelta};
-use crate::pipeline::StepCounts;
-use crate::service::{
-    AsnReport, Explanation, IxpReport, PartitionSeen, PeeringService, ServiceError, Snapshot,
-    VerdictAnswer,
-};
+use crate::service::{PartitionSeen, PeeringService, ServiceError, Snapshot};
 use crate::types::Verdict;
 use opeer_net::Asn;
 use serde::{Deserialize, Serialize};
@@ -456,31 +451,6 @@ impl<'s, 'w> SnapshotArchive<'s, 'w> {
             .collect()
     }
 
-    /// [`Snapshot::verdict`] as of an archived epoch.
-    pub fn verdict_at(
-        &self,
-        ixp: usize,
-        iface: Ipv4Addr,
-        epoch: u64,
-    ) -> Result<VerdictAnswer, ArchiveError> {
-        Ok(self.at(epoch)?.verdict(ixp, iface)?)
-    }
-
-    /// [`Snapshot::asn_report`] as of an archived epoch.
-    pub fn asn_report_at(&self, asn: Asn, epoch: u64) -> Result<AsnReport, ArchiveError> {
-        Ok(self.at(epoch)?.asn_report(asn)?)
-    }
-
-    /// [`Snapshot::explain`] as of an archived epoch.
-    pub fn explain_at(&self, iface: Ipv4Addr, epoch: u64) -> Result<Explanation, ArchiveError> {
-        Ok(self.at(epoch)?.explain(iface)?)
-    }
-
-    /// [`Snapshot::ixp_report`] as of an archived epoch.
-    pub fn ixp_report_at(&self, ixp: usize, epoch: u64) -> Result<IxpReport, ArchiveError> {
-        Ok(self.at(epoch)?.ixp_report(ixp)?)
-    }
-
     /// The remote-share trend line of one IXP across every archived
     /// epoch observing it, ascending. Registry revisions can change the
     /// observed IXP population, so epochs where the index is out of
@@ -587,15 +557,6 @@ impl<'s, 'w> SnapshotArchive<'s, 'w> {
             .expect("archive index poisoned")
             .dirty
             .clone()
-    }
-
-    /// Per-IXP step contributions as of an archived epoch (for the
-    /// evolution-report figures).
-    pub fn step_contributions_at(
-        &self,
-        epoch: u64,
-    ) -> Result<BTreeMap<usize, StepCounts>, ArchiveError> {
-        Ok(self.at(epoch)?.step_contributions().clone())
     }
 
     /// Deep size in bytes of everything the archived snapshots retain,
@@ -726,10 +687,6 @@ mod tests {
             archive.at(n + 1),
             Err(ArchiveError::FutureEpoch { .. })
         ));
-        let err = archive
-            .verdict_at(0, "203.0.113.1".parse().expect("valid"), n + 1)
-            .expect_err("future epoch");
-        assert!(matches!(err, ArchiveError::FutureEpoch { .. }));
 
         // dirty_log covers every epoch; epoch 0 (the warm build) and
         // each delta epoch carry their own counts.

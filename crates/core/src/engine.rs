@@ -1,55 +1,19 @@
-//! The sharded parallel execution engine.
+//! The shard-scheduling primitives of the parallel engine.
 //!
-//! [`run_pipeline_parallel`] runs the five-step methodology of
-//! [`crate::pipeline::run_pipeline`] with the per-IXP / per-target /
-//! per-candidate work fanned out over a [`std::thread::scope`] worker
-//! pool, and merges the per-shard results **deterministically** so the
-//! output is bit-identical to the sequential pass for every thread
-//! count. No work queue survives the call; the pool is scoped to one
-//! pipeline run.
+//! [`ParallelConfig`] sizes the worker pool, [`shard_ranges`] cuts an
+//! axis of independent work into contiguous ranges, and
+//! [`map_indexed`] runs one task per range on a [`std::thread::scope`]
+//! pool and returns the results in index order. No work queue
+//! survives a call; the pool is scoped to it.
 //!
-//! ## Why the merge is exact
-//!
-//! Each phase shards along the axis where its work is provably
-//! independent, then commits in a fixed order:
-//!
-//! * **Step 1** shards by observed IXP: port-capacity evidence never
-//!   leaves its IXP. Shard ledgers are absorbed in IXP order, and
-//!   [`crate::steps::Ledger::absorb`] keeps the first writer on
-//!   address collisions — the same winner a sequential scan picks.
-//! * **Step 2** shards by campaign chunk: the best-observation
-//!   preference only replaces an incumbent with a strictly better
-//!   candidate, so folding chunk maps in campaign order reproduces the
-//!   sequential scan's winners, ties included.
-//! * **Step 3** shards by *target* over the merged observation map:
-//!   [`crate::steps::step3::evaluate_observation`] is pure per target,
-//!   and chunking a sorted map preserves the sequential detail order.
-//! * **Step 4** shards its corpus scan by traceroute chunk (set-union
-//!   merge is order-independent) and its classification by candidate
-//!   ASN: propagation only ever touches the candidate's own LAN
-//!   interfaces, so verdicts of other candidates can never feed back.
-//!   Outcomes commit in ascending ASN order — the sequential order.
-//! * **Step 5** shards by observed IXP against the frozen steps-1–4
-//!   ledger: the facility vote never reads the ledger, and each LAN
-//!   address is visited once.
-//!
-//! The worker pool itself is free to schedule shards in any order —
-//! results land in per-shard slots and are merged by index, never by
-//! completion time.
+//! Parallel measurement assembly
+//! ([`crate::input::InferenceInput::assemble_parallel`]), snapshot
+//! publishing, and the incremental pipeline
+//! ([`crate::incremental::IncrementalPipeline`]) shard through them.
+//! The incremental pipeline's full recompute is the one parallel
+//! implementation of the five steps; its module docs say why each
+//! step's merge is exact.
 
-use crate::input::InferenceInput;
-use crate::pipeline::{PipelineConfig, PipelineResult, StepCounts};
-use crate::steps::step2::RttObservation;
-use crate::steps::step3::Step3Detail;
-use crate::steps::{step1, step2, step3, step4, step5, Ledger};
-use crate::types::Unclassified;
-use opeer_measure::campaign::CampaignConfig;
-use opeer_measure::latency::LatencyModel;
-use opeer_measure::traceroute::{plan_corpus, CorpusConfig, TracerouteEngine};
-use opeer_registry::RegistryConfig;
-use opeer_topology::World;
-use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -106,9 +70,8 @@ impl Default for ParallelConfig {
 /// primitives: any workload whose items are independent along some axis
 /// can cut that axis into ranges here, run them via [`map_indexed`],
 /// and merge the per-range results in range order for a
-/// schedule-independent total. The pipeline phases, the parallel
-/// measurement assembly ([`crate::input::InferenceInput::assemble_parallel`]),
-/// and future parameter sweeps all shard through this one function.
+/// schedule-independent total. Every parallel path of this crate
+/// shards through this one function.
 ///
 /// Delegates to [`opeer_measure::batch_ranges`] — the same cut points
 /// the streaming epoch emitters use — so the partition logic cannot
@@ -187,289 +150,9 @@ where
         .collect()
 }
 
-/// One shard's step-3 output.
-struct Step3Shard {
-    ledger: Ledger,
-    details: Vec<Step3Detail>,
-}
-
-/// Steps 1–3 output, handed from [`phase_steps123`] to
-/// [`phase_steps45`]. Splitting the pipeline here lets the overlapped
-/// entry point ([`assemble_and_run_parallel`]) trace the corpus — which
-/// steps 1–3 never read — while the early steps run.
-struct EarlySteps {
-    ledger: Ledger,
-    n1: usize,
-    n3: usize,
-    observations: BTreeMap<Ipv4Addr, RttObservation>,
-    step3_details: Vec<Step3Detail>,
-}
-
-/// Runs the full §5.2 methodology on a scoped worker pool. The result
-/// is bit-identical to [`crate::pipeline::run_pipeline`] on the same
-/// input for **any** `par.threads ≥ 1`.
-pub fn run_pipeline_parallel(
-    input: &InferenceInput<'_>,
-    cfg: &PipelineConfig,
-    par: &ParallelConfig,
-) -> PipelineResult {
-    let threads = par.threads.max(1);
-    let early = phase_steps123(input, cfg, threads);
-    phase_steps45(input, early, cfg, threads)
-}
-
-/// Steps 1–3 on the pool: port capacities, campaign consolidation, and
-/// the RTT/colocation pass. Reads `input.observed` and `input.campaign`
-/// only — never the corpus or `ip2as`.
-fn phase_steps123(input: &InferenceInput<'_>, cfg: &PipelineConfig, threads: usize) -> EarlySteps {
-    // Over-shard relative to the pool so one slow shard does not
-    // serialise the tail; any partition merges identically. Each axis
-    // (IXPs, campaign, targets, corpus) shards against its own length —
-    // `shard_ranges` clamps to the item count — so an IXP-poor input
-    // with a huge campaign or corpus still saturates the pool.
-    let n_shards = threads * 4;
-    let ixp_shards = shard_ranges(input.observed.ixps.len(), n_shards);
-
-    // ---- step 1: per-IXP shards ----
-    let step1_out: Vec<Ledger> = map_indexed(ixp_shards.len(), threads, |i| {
-        let mut ledger = Ledger::new();
-        step1::apply_to_ixps(input, ixp_shards[i].clone(), &mut ledger);
-        ledger
-    });
-    let mut ledger = Ledger::new();
-    let mut n1 = 0;
-    for shard in step1_out {
-        n1 += ledger.absorb(shard);
-    }
-
-    // ---- step 2: per-campaign-chunk shards, folded in campaign order ----
-    let campaign_shards = shard_ranges(input.campaign.observations.len(), n_shards);
-    let consolidated = map_indexed(campaign_shards.len(), threads, |i| {
-        step2::consolidate_chunk(input, campaign_shards[i].clone())
-    });
-    let mut observations: BTreeMap<Ipv4Addr, RttObservation> = BTreeMap::new();
-    for chunk in consolidated {
-        step2::merge_consolidated(&mut observations, chunk);
-    }
-
-    // ---- step 3: per-target shards over the merged observations ----
-    // The consolidated map is copied into a contiguous row array
-    // (observations are small `Copy` structs) so shards scan cache-line
-    // neighbours instead of chasing tree nodes; order is the map's
-    // address order either way.
-    let targets: Vec<RttObservation> = observations.values().copied().collect();
-
-    // The VP→facility distance rows, filled on the pool: one row per
-    // unique VP location, sharded over the location array. Row i only
-    // depends on location i, so any partition assembles identically.
-    let origins = step3::FacilityDistances::origins(input);
-    let vp_locs = step3::FacilityDistances::unique_vp_locations(targets.iter());
-    let row_shards = shard_ranges(vp_locs.len(), n_shards);
-    let row_chunks: Vec<Vec<Vec<f64>>> = map_indexed(row_shards.len(), threads, |i| {
-        vp_locs[row_shards[i].clone()]
-            .iter()
-            .map(|vp| opeer_geo::batch::distances_km(&origins, vp))
-            .collect()
-    });
-    let dists =
-        step3::FacilityDistances::from_rows(&vp_locs, row_chunks.into_iter().flatten().collect());
-
-    let target_shards = shard_ranges(targets.len(), n_shards);
-    let honor = cfg.honor_lg_rounding;
-    let step3_out: Vec<Step3Shard> = map_indexed(target_shards.len(), threads, |i| {
-        let mut shard = Step3Shard {
-            ledger: Ledger::new(),
-            details: Vec::with_capacity(target_shards[i].len()),
-        };
-        for o in &targets[target_shards[i].clone()] {
-            let (detail, inference) =
-                step3::evaluate_observation_batched(input, o, &cfg.speed, honor, &dists);
-            if let Some(inf) = inference {
-                shard.ledger.record(inf);
-            }
-            shard.details.push(detail);
-        }
-        shard
-    });
-    let mut step3_details = Vec::with_capacity(targets.len());
-    let mut n3 = 0;
-    for shard in step3_out {
-        n3 += ledger.absorb(shard.ledger);
-        step3_details.extend(shard.details);
-    }
-
-    EarlySteps {
-        ledger,
-        n1,
-        n3,
-        observations,
-        step3_details,
-    }
-}
-
-/// Steps 4–5 plus the residual scan, picking up from [`phase_steps123`]'s
-/// frozen ledger. This is the first point that reads `input.corpus` and
-/// `input.ip2as`.
-fn phase_steps45(
-    input: &InferenceInput<'_>,
-    early: EarlySteps,
-    cfg: &PipelineConfig,
-    threads: usize,
-) -> PipelineResult {
-    let EarlySteps {
-        mut ledger,
-        n1,
-        n3,
-        observations,
-        step3_details,
-    } = early;
-    let n_shards = threads * 4;
-    let ixp_shards = shard_ranges(input.observed.ixps.len(), n_shards);
-
-    // ---- step 4: corpus scan by chunk, classification by candidate ----
-    let details_idx = step4::Step3Index::build(&input.interns, step3_details.iter().copied());
-    let data = step4::ixp_data(input);
-    let corpus_shards = shard_ranges(input.corpus.len(), n_shards);
-    let chunks = map_indexed(corpus_shards.len(), threads, |i| {
-        step4::scan_corpus(input, &data, corpus_shards[i].clone())
-    });
-    let evidence = step4::evidence_from_chunks(input, data, chunks);
-    let cands = step4::candidates(&evidence);
-    let outcomes = {
-        // The frozen steps-1–3 ledger is the only cross-candidate state.
-        let priors = &ledger;
-        map_indexed(cands.len(), threads, |i| {
-            step4::classify_candidate(input, &evidence, cands[i], &details_idx, &cfg.alias, priors)
-        })
-    };
-    let mut multi_ixp_routers = Vec::new();
-    let mut n4 = 0;
-    for outcome in outcomes {
-        for inf in outcome.recorded {
-            if ledger.record(inf) {
-                n4 += 1;
-            }
-        }
-        multi_ixp_routers.extend(outcome.findings);
-    }
-
-    // ---- step 5: corpus harvest by chunk, vote by IXP shard ----
-    let ev5_chunks = map_indexed(corpus_shards.len(), threads, |i| {
-        step5::harvest_chunk(input, &evidence.data, corpus_shards[i].clone())
-    });
-    let mut ev5 = step5::PrivateEvidence::default();
-    for chunk in ev5_chunks {
-        ev5.absorb(chunk);
-    }
-    let proposals = {
-        let priors = &ledger;
-        map_indexed(ixp_shards.len(), threads, |i| {
-            step5::propose_for_ixps(input, &ev5, &cfg.alias, ixp_shards[i].clone(), priors)
-        })
-    };
-    let mut n5 = 0;
-    for shard in proposals {
-        for inf in shard {
-            if ledger.record(inf) {
-                n5 += 1;
-            }
-        }
-    }
-
-    // ---- residual unknowns (cheap; sequential scan keeps the exact
-    // sequential emission order) ----
-    let mut unclassified = Vec::new();
-    for (ixp_idx, ixp) in input.observed.ixps.iter().enumerate() {
-        for (&addr, &asn) in &ixp.interfaces {
-            if !ledger.known(addr) {
-                unclassified.push(Unclassified {
-                    addr,
-                    ixp: ixp_idx,
-                    asn,
-                });
-            }
-        }
-    }
-
-    PipelineResult {
-        inferences: ledger.all().collect(),
-        unclassified,
-        observations,
-        step3_details,
-        multi_ixp_routers,
-        counts: StepCounts {
-            baseline: 0,
-            port_capacity: n1,
-            rtt_colo: n3,
-            multi_ixp: n4,
-            private_links: n5,
-        },
-    }
-}
-
-/// Assembles the measurement inputs **and** runs the inference on one
-/// pool, overlapping the two: the traceroute corpus — the dominant
-/// assembly cost — is traced on background workers while registry
-/// fusion, the ping campaign, the `prefix2as` build, and inference
-/// steps 1–3 (which never read the corpus) execute. The corpus joins
-/// right before step 4, the first consumer.
-///
-/// The returned pair is byte-identical to
-/// `(InferenceInput::assemble(world, seed), run_pipeline(&input, cfg))`
-/// for any `par.threads ≥ 1`: every artifact still merges in its fixed
-/// shard order, and the phase split does not change what each step
-/// reads.
-///
-/// Worker accounting: the corpus tracer and the foreground phases each
-/// get `par.threads` workers, so the process briefly holds up to
-/// `2 × threads` — the corpus pool drains the machine once the (much
-/// shorter) foreground phases finish. Scheduling never affects results.
-pub fn assemble_and_run_parallel<'w>(
-    world: &'w World,
-    seed: u64,
-    cfg: &PipelineConfig,
-    par: &ParallelConfig,
-) -> (InferenceInput<'w>, PipelineResult) {
-    let (registry, campaign_cfg, corpus_cfg) = crate::input::default_configs(seed);
-    assemble_and_run_parallel_with(world, seed, &registry, &campaign_cfg, &corpus_cfg, cfg, par)
-}
-
-/// [`assemble_and_run_parallel`] with explicit sub-configurations (the
-/// same knobs [`InferenceInput::assemble_with`] takes).
-pub fn assemble_and_run_parallel_with<'w>(
-    world: &'w World,
-    seed: u64,
-    registry: &RegistryConfig,
-    campaign_cfg: &CampaignConfig,
-    corpus_cfg: &CorpusConfig,
-    cfg: &PipelineConfig,
-    par: &ParallelConfig,
-) -> (InferenceInput<'w>, PipelineResult) {
-    let threads = par.threads.max(1);
-    let plan = plan_corpus(world, corpus_cfg);
-    let engine = TracerouteEngine::new(world, LatencyModel::new(corpus_cfg.seed));
-
-    let (mut input, early, corpus) = std::thread::scope(|s| {
-        let plan = &plan;
-        let engine = &engine;
-        let corpus_handle =
-            s.spawn(move || InferenceInput::trace_corpus_sharded(plan, engine, threads));
-        let input =
-            InferenceInput::assemble_parallel_sans_corpus(world, seed, registry, campaign_cfg, par);
-        let early = phase_steps123(&input, cfg, threads);
-        let corpus = corpus_handle.join().expect("corpus tracer panicked");
-        (input, early, corpus)
-    });
-    input.corpus = corpus;
-    let result = phase_steps45(&input, early, cfg, threads);
-    (input, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_pipeline;
-    use opeer_topology::WorldConfig;
 
     #[test]
     fn shard_ranges_partition() {
@@ -571,21 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_small_world() {
-        let world = WorldConfig::small(109).generate();
-        let input = InferenceInput::assemble(&world, 109);
-        let cfg = PipelineConfig::default();
-        let sequential = run_pipeline(&input, &cfg);
-        for threads in [1, 2, 3, 8] {
-            let parallel = run_pipeline_parallel(&input, &cfg, &ParallelConfig::new(threads));
-            assert_eq!(
-                parallel, sequential,
-                "parallel ({threads} threads) diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
     fn env_config_parses_and_edge_cases() {
         // One test owns OPEER_THREADS for this whole binary: `set_var`
         // concurrent with `getenv` from another test thread would be a
@@ -621,25 +289,5 @@ mod tests {
         }
         std::env::remove_var(THREADS_ENV);
         assert_eq!(ParallelConfig::from_env().threads, auto, "unset");
-    }
-
-    #[test]
-    fn overlapped_run_matches_sequential_end_to_end() {
-        let world = WorldConfig::small(7).generate();
-        let seq_input = InferenceInput::assemble(&world, 7);
-        let cfg = PipelineConfig::default();
-        let seq_result = run_pipeline(&seq_input, &cfg);
-        for threads in [1, 3] {
-            let (input, result) =
-                assemble_and_run_parallel(&world, 7, &cfg, &ParallelConfig::new(threads));
-            assert!(
-                input.content_eq(&seq_input),
-                "overlapped assembly diverged at {threads} threads"
-            );
-            assert_eq!(
-                result, seq_result,
-                "overlapped inference diverged at {threads} threads"
-            );
-        }
     }
 }

@@ -5,10 +5,10 @@
 //! dataflow** for streaming ingestion: campaign observations and public
 //! traceroutes arrive in epoch batches ([`InputDelta`]), and a retained
 //! [`IncrementalPipeline`] recomputes only the shards each delta
-//! touches — along exactly the axes the parallel engine already shards
-//! on (step 1/5 by IXP, step 2 by campaign chunk, step 3 by target,
-//! step 4 by corpus chunk + candidate ASN) — then re-merges into the
-//! ledger with the same fixed order and first-writer-wins semantics.
+//! touches — step 1/5 by IXP, step 2 by campaign chunk, step 3 by
+//! target, step 4 by corpus chunk + candidate ASN — then re-merges into
+//! the ledger with the fixed order and first-writer-wins semantics of
+//! the sequential pass.
 //!
 //! ## The dirty-shard model
 //!
@@ -41,6 +41,38 @@
 //! only append), which is what makes the per-candidate and per-IXP
 //! caches sound: a clean shard's inputs are byte-identical to the ones
 //! it was computed from.
+//!
+//! ## Why the merge is exact
+//!
+//! [`IncrementalPipeline::new`] is a full recompute: every shard is
+//! dirty, so it is the parallel one-shot run of the five steps (what
+//! [`crate::service::PeeringService::build`] runs). Each step shards
+//! along the axis where its work is provably independent, then commits
+//! in a fixed order:
+//!
+//! * **Step 1** shards by observed IXP: port-capacity evidence never
+//!   leaves its IXP. Shard ledgers are absorbed in IXP order, and
+//!   [`crate::steps::Ledger::absorb`] keeps the first writer on
+//!   address collisions — the same winner a sequential scan picks.
+//! * **Step 2** shards by campaign chunk: the best-observation
+//!   preference only replaces an incumbent with a strictly better
+//!   candidate, so folding chunk maps in campaign order reproduces the
+//!   sequential scan's winners, ties included.
+//! * **Step 3** shards by *target* over the merged observation map:
+//!   [`crate::steps::step3::evaluate_observation`] is pure per target,
+//!   and the address-keyed cache preserves the sequential detail order.
+//! * **Step 4** shards its corpus scan by traceroute chunk (set-union
+//!   merge is order-independent) and its classification by candidate
+//!   ASN: propagation only ever touches the candidate's own LAN
+//!   interfaces, so verdicts of other candidates can never feed back.
+//!   Outcomes commit in ascending ASN order — the sequential order.
+//! * **Step 5** shards by observed IXP against the frozen steps-1–4
+//!   ledger: the facility vote never reads the ledger, and each LAN
+//!   address is visited once.
+//!
+//! The worker pool itself is free to schedule shards in any order —
+//! results land in per-shard slots and are merged by index, never by
+//! completion time ([`map_indexed`]).
 //!
 //! ## The contract
 //!

@@ -17,9 +17,7 @@ use crate::intern::InternTables;
 use opeer_bgp::Collector;
 use opeer_measure::campaign::{run_campaign, CampaignConfig, CampaignResult};
 use opeer_measure::latency::LatencyModel;
-use opeer_measure::traceroute::{
-    build_corpus, plan_corpus, CorpusConfig, CorpusPlan, Traceroute, TracerouteEngine,
-};
+use opeer_measure::traceroute::{plan_corpus, CorpusConfig, Traceroute, TracerouteEngine};
 use opeer_measure::vp::{discover_vps, VantagePoint};
 use opeer_net::IpToAsMap;
 use opeer_registry::{build_observed_world, ObservedWorld, RegistryConfig, Table1Stats};
@@ -48,9 +46,9 @@ pub struct InferenceInput<'w> {
 }
 
 /// The default sub-configurations every assembly entry point derives
-/// from one master seed. Shared by [`InferenceInput::assemble`],
-/// [`InferenceInput::assemble_parallel`], and the engine's overlapped
-/// path, so the recipe cannot drift between them.
+/// from one master seed. Shared by [`InferenceInput::assemble_parallel`]
+/// and [`InferenceInput::assemble_base`], so the recipe cannot drift
+/// between them.
 pub fn default_configs(seed: u64) -> (RegistryConfig, CampaignConfig, CorpusConfig) {
     (
         RegistryConfig {
@@ -66,7 +64,7 @@ pub fn default_configs(seed: u64) -> (RegistryConfig, CampaignConfig, CorpusConf
 }
 
 /// The AS whose route collector feeds `prefix2as`: the best-connected
-/// transit AS (shared by the sequential and parallel assembly paths).
+/// transit AS.
 fn collector_peer(world: &World) -> AsId {
     let peer = world
         .ases
@@ -78,36 +76,10 @@ fn collector_peer(world: &World) -> AsId {
 
 impl<'w> InferenceInput<'w> {
     /// Builds the full input set from a world with default configurations
-    /// derived from `seed`.
+    /// derived from `seed`: [`InferenceInput::assemble_parallel`] at one
+    /// thread, so every task runs in order on the calling thread.
     pub fn assemble(world: &'w World, seed: u64) -> Self {
-        let (registry, campaign_cfg, corpus_cfg) = default_configs(seed);
-        Self::assemble_with(world, seed, &registry, &campaign_cfg, &corpus_cfg)
-    }
-
-    /// Builds the input set with explicit sub-configurations.
-    pub fn assemble_with(
-        world: &'w World,
-        seed: u64,
-        registry: &RegistryConfig,
-        campaign_cfg: &CampaignConfig,
-        corpus_cfg: &CorpusConfig,
-    ) -> Self {
-        let (observed, table1) = build_observed_world(world, registry);
-        let vps = discover_vps(world, seed);
-        let campaign = run_campaign(world, &vps, *campaign_cfg);
-        let corpus = build_corpus(world, *corpus_cfg);
-        let ip2as = Collector::build(world, collector_peer(world)).prefix2as();
-        let interns = InternTables::from_observed(&observed);
-        InferenceInput {
-            world,
-            observed,
-            table1,
-            vps,
-            campaign,
-            corpus,
-            ip2as,
-            interns,
-        }
+        Self::assemble_parallel(world, seed, &ParallelConfig::new(1))
     }
 
     /// Assembles the measurement-free substrate: registry fusion, VP
@@ -138,23 +110,11 @@ impl<'w> InferenceInput<'w> {
     }
 
     /// Builds the full input set on the engine's worker pool with default
-    /// configurations derived from `seed`.
+    /// configurations derived from `seed`: one heterogeneous task list,
+    /// merged by task index (never by completion time), so the result is
+    /// the same for any `par.threads ≥ 1`.
     ///
-    /// Byte-identical to [`InferenceInput::assemble`] for any
-    /// `par.threads ≥ 1`: the same artifacts, in the same order (see
-    /// [`InferenceInput::assemble_parallel_with`] for the shard/merge
-    /// contract).
-    pub fn assemble_parallel(world: &'w World, seed: u64, par: &ParallelConfig) -> Self {
-        let (registry, campaign_cfg, corpus_cfg) = default_configs(seed);
-        Self::assemble_parallel_with(world, seed, &registry, &campaign_cfg, &corpus_cfg, par)
-    }
-
-    /// Builds the input set with explicit sub-configurations, fanning the
-    /// measurement work out over the engine's worker pool.
-    ///
-    /// Shard axes and merge order (each axis mirrors the sequential
-    /// loop it replaces, so the merged artifacts are byte-identical to
-    /// [`InferenceInput::assemble_with`]):
+    /// Shard axes and merge order:
     ///
     /// * registry fusion and the route-collector `prefix2as` build are
     ///   single shard tasks (internally sequential, overlapped with the
@@ -162,55 +122,10 @@ impl<'w> InferenceInput<'w> {
     /// * the ping campaign shards by **vantage-point chunk** — per-VP
     ///   probing is pure, and partials absorb in VP order;
     /// * the traceroute corpus shards by **destination range** of the
-    ///   sorted [`CorpusPlan`] — per-destination tracing is pure, and
+    ///   sorted [`CorpusPlan`][opeer_measure::traceroute::CorpusPlan] —
+    ///   per-destination tracing is pure, and
     ///   partials concatenate in range order.
-    pub fn assemble_parallel_with(
-        world: &'w World,
-        seed: u64,
-        registry: &RegistryConfig,
-        campaign_cfg: &CampaignConfig,
-        corpus_cfg: &CorpusConfig,
-        par: &ParallelConfig,
-    ) -> Self {
-        let plan = plan_corpus(world, corpus_cfg);
-        // One shared engine for every corpus shard: the routing oracle
-        // precomputes its indexes once and is `Sync`, so shards pay
-        // zero per-shard setup.
-        let engine = TracerouteEngine::new(world, LatencyModel::new(corpus_cfg.seed));
-        Self::fan_out(
-            world,
-            seed,
-            registry,
-            campaign_cfg,
-            Some((&engine, &plan)),
-            par,
-        )
-    }
-
-    /// Parallel assembly of everything **except** the traceroute corpus
-    /// (left empty). The engine's overlapped entry point runs corpus
-    /// shards concurrently with inference steps 1–3 and splices the
-    /// result in before step 4.
-    pub(crate) fn assemble_parallel_sans_corpus(
-        world: &'w World,
-        seed: u64,
-        registry: &RegistryConfig,
-        campaign_cfg: &CampaignConfig,
-        par: &ParallelConfig,
-    ) -> Self {
-        Self::fan_out(world, seed, registry, campaign_cfg, None, par)
-    }
-
-    /// The shared fan-out: one heterogeneous task list over the worker
-    /// pool, merged by task index (never by completion time).
-    fn fan_out(
-        world: &'w World,
-        seed: u64,
-        registry: &RegistryConfig,
-        campaign_cfg: &CampaignConfig,
-        corpus: Option<(&TracerouteEngine<'w>, &CorpusPlan)>,
-        par: &ParallelConfig,
-    ) -> Self {
+    pub fn assemble_parallel(world: &'w World, seed: u64, par: &ParallelConfig) -> Self {
         /// One task's output; the variant is determined by the task
         /// index, so the merge below can destructure unconditionally.
         enum Partial {
@@ -220,17 +135,20 @@ impl<'w> InferenceInput<'w> {
             Corpus(Vec<Traceroute>),
         }
 
+        let (registry, campaign_cfg, corpus_cfg) = default_configs(seed);
         let threads = par.threads.max(1);
         // VP discovery is trivially cheap and its output shapes the
         // campaign shard plan, so it stays on the calling thread.
         let vps = discover_vps(world, seed);
-        // Over-shard the measurement axes (cf. the engine's pipeline
-        // phases) so the big corpus shards cannot serialise the tail.
+        let plan = plan_corpus(world, &corpus_cfg);
+        // One shared engine for every corpus shard: the routing oracle
+        // precomputes its indexes once and is `Sync`, so shards pay
+        // zero per-shard setup.
+        let engine = TracerouteEngine::new(world, LatencyModel::new(corpus_cfg.seed));
+        // Over-shard the measurement axes so the big corpus shards
+        // cannot serialise the tail.
         let campaign_shards = shard_ranges(vps.len(), threads * 4);
-        let corpus_shards = match corpus {
-            Some((_, plan)) => shard_ranges(plan.len(), threads * 4),
-            None => Vec::new(),
-        };
+        let corpus_shards = shard_ranges(plan.len(), threads * 4);
 
         // Task layout, by index: the two coarse substrate builds first
         // (they are the longest indivisible tasks, so the dynamic
@@ -241,18 +159,17 @@ impl<'w> InferenceInput<'w> {
         let n_tasks = corpus_base + corpus_shards.len();
 
         let partials = map_indexed(n_tasks, threads, |i| match i {
-            0 => Partial::Observed(Box::new(build_observed_world(world, registry))),
+            0 => Partial::Observed(Box::new(build_observed_world(world, &registry))),
             1 => Partial::Ip2As(Box::new(
                 Collector::build(world, collector_peer(world)).prefix2as(),
             )),
             i if i < corpus_base => {
                 let range = campaign_shards[i - campaign_base].clone();
-                Partial::Campaign(run_campaign(world, &vps[range], *campaign_cfg))
+                Partial::Campaign(run_campaign(world, &vps[range], campaign_cfg))
             }
-            i => {
-                let (engine, plan) = corpus.expect("corpus tasks exist only with a plan");
-                Partial::Corpus(plan.trace_shard_on(engine, corpus_shards[i - corpus_base].clone()))
-            }
+            i => Partial::Corpus(
+                plan.trace_shard_on(&engine, corpus_shards[i - corpus_base].clone()),
+            ),
         });
 
         // Merge in task-index order — the fixed order that makes the
@@ -260,13 +177,13 @@ impl<'w> InferenceInput<'w> {
         let mut observed_out = None;
         let mut ip2as_out = None;
         let mut campaign = CampaignResult::default();
-        let mut corpus_out: Vec<Traceroute> = Vec::new();
+        let mut corpus: Vec<Traceroute> = Vec::new();
         for p in partials {
             match p {
                 Partial::Observed(b) => observed_out = Some(*b),
                 Partial::Ip2As(b) => ip2as_out = Some(*b),
                 Partial::Campaign(part) => campaign.absorb(part),
-                Partial::Corpus(part) => corpus_out.extend(part),
+                Partial::Corpus(part) => corpus.extend(part),
             }
         }
         let (observed, table1) = observed_out.expect("registry task ran");
@@ -282,29 +199,10 @@ impl<'w> InferenceInput<'w> {
             table1,
             vps,
             campaign,
-            corpus: corpus_out,
+            corpus,
             ip2as,
             interns,
         }
-    }
-
-    /// Traces a whole corpus plan on the pool: the destination range cut
-    /// into `threads * 4` shards, traced via [`map_indexed`], partials
-    /// concatenated in range order — the same recipe as the corpus arm
-    /// of the assembly fan-out, shared with the engine's overlapped
-    /// entry point.
-    pub(crate) fn trace_corpus_sharded(
-        plan: &CorpusPlan,
-        engine: &TracerouteEngine<'_>,
-        threads: usize,
-    ) -> Vec<Traceroute> {
-        let shards = shard_ranges(plan.len(), threads * 4);
-        map_indexed(shards.len(), threads, |i| {
-            plan.trace_shard_on(engine, shards[i].clone())
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     /// Whether two inputs hold identical artifacts (the `world` is

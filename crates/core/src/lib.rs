@@ -36,20 +36,20 @@
 //!
 //! * [`InferenceInput::assemble`] / [`InferenceInput::assemble_parallel`]
 //!   — build the observable inputs (registry fusion, ping campaign,
-//!   traceroute corpus, `prefix2as`), sequentially or sharded over the
-//!   worker pool; byte-identical either way.
+//!   traceroute corpus, `prefix2as`), on the calling thread or sharded
+//!   over the worker pool; byte-identical either way.
+//!   [`InferenceInput::assemble_base`] builds the measurement-free
+//!   substrate the incremental pipeline streams batches into.
 //! * [`pipeline::run_pipeline`] — the sequential five-step reference.
-//! * [`engine::run_pipeline_parallel`] — the same methodology fanned
-//!   out over a scoped worker pool with deterministic merges.
-//! * [`engine::assemble_and_run_parallel`] — assembly and inference
-//!   overlapped: corpus tracing runs under steps 1–3.
-//! * [`engine::shard_ranges`] / [`engine::map_indexed`] — the generic
-//!   shard-scheduling primitives behind all of the above.
 //! * [`incremental::IncrementalPipeline`] /
-//!   [`incremental::run_pipeline_incremental`] — the same methodology as
-//!   an incremental dataflow: measurement batches stream in as
-//!   [`incremental::InputDelta`]s and only the dirty shards recompute,
-//!   byte-identical to the one-shot run after every epoch.
+//!   [`incremental::run_pipeline_incremental`] — the same methodology on
+//!   the worker pool, as an incremental dataflow: [`IncrementalPipeline::new`]
+//!   runs all five steps once (the parallel one-shot run), then
+//!   measurement batches stream in as [`incremental::InputDelta`]s and
+//!   only the dirty shards recompute, byte-identical to the one-shot
+//!   run after every epoch.
+//! * [`engine::shard_ranges`] / [`engine::map_indexed`] — the generic
+//!   shard-scheduling primitives behind every parallel path.
 //! * [`service::PeeringService`] — the serving layer over the
 //!   incremental pipeline: writers `apply` epoch deltas while any
 //!   number of readers query immutable, epoch-versioned
@@ -57,9 +57,10 @@
 //!   and a batched, serde-serializable request/response API.
 //! * [`archive::SnapshotArchive`] — the longitudinal layer over the
 //!   service: every published epoch's snapshot retained (Arc-shared)
-//!   behind an epoch index, serving time-travel queries
-//!   (`verdict_at`/`asn_report_at`/`explain_at`), as-of/range lookups,
-//!   per-IXP remote-share trend lines, per-ASN verdict churn, and
+//!   behind an epoch index, resolving epochs to snapshots
+//!   ([`archive::SnapshotArchive::at`], as-of and range lookups) whose
+//!   queries answer as of that epoch, plus per-IXP remote-share trend
+//!   lines, per-ASN verdict churn, and
 //!   per-epoch dirty-shard accounting; driven by
 //!   [`evolution::monthly_deltas`]' monthly world revisions.
 //!
@@ -97,7 +98,7 @@ pub mod types;
 
 pub use archive::{ArchiveError, ChurnReport, SnapshotArchive, TrendLine};
 pub use baseline::run_baseline;
-pub use engine::{assemble_and_run_parallel, run_pipeline_parallel, ParallelConfig};
+pub use engine::ParallelConfig;
 pub use incremental::{run_pipeline_incremental, IncrementalPipeline, InputDelta, PublishDirty};
 pub use input::InferenceInput;
 pub use intern::{AddrId, AsnId, Intern, InternTables};

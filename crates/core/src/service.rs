@@ -1364,33 +1364,6 @@ impl<'w> PeeringService<'w> {
             guard: self.write.lock().expect("service writer poisoned"),
         }
     }
-
-    /// [`Snapshot::verdict`] on the current snapshot.
-    pub fn verdict(&self, ixp: usize, iface: Ipv4Addr) -> Result<VerdictAnswer, ServiceError> {
-        self.snapshot().verdict(ixp, iface)
-    }
-
-    /// [`Snapshot::asn_report`] on the current snapshot.
-    pub fn asn_report(&self, asn: Asn) -> Result<AsnReport, ServiceError> {
-        self.snapshot().asn_report(asn)
-    }
-
-    /// [`Snapshot::ixp_report`] on the current snapshot.
-    pub fn ixp_report(&self, ixp: usize) -> Result<IxpReport, ServiceError> {
-        self.snapshot().ixp_report(ixp)
-    }
-
-    /// [`Snapshot::explain`] on the current snapshot.
-    pub fn explain(&self, iface: Ipv4Addr) -> Result<Explanation, ServiceError> {
-        self.snapshot().explain(iface)
-    }
-
-    /// [`Snapshot::query`] on the current snapshot: the whole batch is
-    /// answered from one snapshot, so every response carries the same
-    /// epoch tag.
-    pub fn query(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, ServiceError> {
-        self.snapshot().query(requests)
-    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@ use crate::steps::Ledger;
 use crate::types::{Inference, Step, Verdict};
 use opeer_geo::{Annulus, GeoPoint, SpeedModel};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Per-target diagnostics kept for Fig. 9c and step 4's distance
@@ -73,58 +74,30 @@ fn location_key(p: &GeoPoint) -> (u64, u64) {
 }
 
 impl FacilityDistances {
-    /// The contiguous facility-location array, in facility-index order —
-    /// the origin array every row is computed over.
-    pub fn origins(input: &InferenceInput<'_>) -> Vec<GeoPoint> {
-        input
-            .observed
-            .facilities
-            .iter()
-            .map(|f| f.location)
-            .collect()
-    }
-
-    /// The unique VP locations of an observation set, in first-seen
-    /// order (deterministic: callers iterate consolidated observations
-    /// in address order).
-    pub fn unique_vp_locations<'a>(
-        observations: impl IntoIterator<Item = &'a RttObservation>,
-    ) -> Vec<GeoPoint> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for o in observations {
-            if seen.insert(location_key(&o.vp_location)) {
-                out.push(o.vp_location);
-            }
-        }
-        out
-    }
-
-    /// Builds the table sequentially: one row per unique VP location.
+    /// Builds the table: one row per unique VP location of the
+    /// observations, in first-seen order (deterministic: callers
+    /// iterate consolidated observations in address order).
     pub fn build<'a>(
         input: &InferenceInput<'_>,
         observations: impl IntoIterator<Item = &'a RttObservation>,
     ) -> Self {
-        let origins = Self::origins(input);
-        let vps = Self::unique_vp_locations(observations);
-        let rows = vps
+        let origins: Vec<GeoPoint> = input
+            .observed
+            .facilities
             .iter()
-            .map(|vp| opeer_geo::batch::distances_km(&origins, vp))
+            .map(|f| f.location)
             .collect();
-        Self::from_rows(&vps, rows)
-    }
-
-    /// Assembles the table from rows computed elsewhere (the engine
-    /// fills them on the worker pool, sharded over the VP-location
-    /// array). `rows[i]` must be the facility-distance row of `vps[i]`.
-    pub fn from_rows(vps: &[GeoPoint], rows: Vec<Vec<f64>>) -> Self {
-        debug_assert_eq!(vps.len(), rows.len());
-        let index = vps
-            .iter()
-            .enumerate()
-            .map(|(i, vp)| (location_key(vp), i as u32))
-            .collect();
-        Self { index, rows }
+        let mut table = Self::default();
+        for o in observations {
+            let next = table.rows.len() as u32;
+            if let Entry::Vacant(slot) = table.index.entry(location_key(&o.vp_location)) {
+                slot.insert(next);
+                table
+                    .rows
+                    .push(opeer_geo::batch::distances_km(&origins, &o.vp_location));
+            }
+        }
+        table
     }
 
     /// The distance row of a VP location, if precomputed.

@@ -238,6 +238,38 @@ fn query(request: &Request, snapshot: &Snapshot) -> Outcome {
     }
 }
 
+/// Answers a point route from the snapshot its optional `epoch=`
+/// parameter selects: the live one when absent, otherwise the archived
+/// one (`404 no_archive` without an archive, archive rejections through
+/// [`archive_error`]). Entity parameters are parsed before this runs,
+/// so their `400`s win over any epoch rejection.
+fn answer_at<T: Serialize>(
+    request: &Request,
+    live: &Snapshot,
+    archive: Option<&SnapshotArchive<'_, '_>>,
+    query: impl FnOnce(&Snapshot) -> Result<T, ServiceError>,
+) -> Outcome {
+    let archived;
+    let snapshot = match opt_param::<u64>(request, "epoch") {
+        Err(o) => return o,
+        Ok(None) => live,
+        Ok(Some(epoch)) => {
+            let Some(archive) = archive else {
+                return no_archive();
+            };
+            archived = match archive.at(epoch) {
+                Ok(s) => s,
+                Err(e) => return archive_error(e),
+            };
+            &archived
+        }
+    };
+    match query(snapshot) {
+        Ok(answer) => serialize_ok(&answer),
+        Err(e) => service_error(e),
+    }
+}
+
 fn verdict(
     request: &Request,
     snapshot: &Snapshot,
@@ -251,20 +283,7 @@ fn verdict(
         Ok(v) => v,
         Err(o) => return o,
     };
-    match opt_param::<u64>(request, "epoch") {
-        Err(o) => o,
-        Ok(None) => match snapshot.verdict(ixp, iface) {
-            Ok(answer) => serialize_ok(&answer),
-            Err(e) => service_error(e),
-        },
-        Ok(Some(epoch)) => match archive {
-            None => no_archive(),
-            Some(archive) => match archive.verdict_at(ixp, iface, epoch) {
-                Ok(answer) => serialize_ok(&answer),
-                Err(e) => archive_error(e),
-            },
-        },
-    }
+    answer_at(request, snapshot, archive, |s| s.verdict(ixp, iface))
 }
 
 fn asn(
@@ -276,20 +295,7 @@ fn asn(
         Ok(v) => opeer_net::Asn::new(v),
         Err(o) => return o,
     };
-    match opt_param::<u64>(request, "epoch") {
-        Err(o) => o,
-        Ok(None) => match snapshot.asn_report(asn) {
-            Ok(answer) => serialize_ok(&answer),
-            Err(e) => service_error(e),
-        },
-        Ok(Some(epoch)) => match archive {
-            None => no_archive(),
-            Some(archive) => match archive.asn_report_at(asn, epoch) {
-                Ok(answer) => serialize_ok(&answer),
-                Err(e) => archive_error(e),
-            },
-        },
-    }
+    answer_at(request, snapshot, archive, |s| s.asn_report(asn))
 }
 
 fn ixp(
@@ -301,20 +307,7 @@ fn ixp(
         Ok(v) => v,
         Err(o) => return o,
     };
-    match opt_param::<u64>(request, "epoch") {
-        Err(o) => o,
-        Ok(None) => match snapshot.ixp_report(ixp) {
-            Ok(answer) => serialize_ok(&answer),
-            Err(e) => service_error(e),
-        },
-        Ok(Some(epoch)) => match archive {
-            None => no_archive(),
-            Some(archive) => match archive.ixp_report_at(ixp, epoch) {
-                Ok(answer) => serialize_ok(&answer),
-                Err(e) => archive_error(e),
-            },
-        },
-    }
+    answer_at(request, snapshot, archive, |s| s.ixp_report(ixp))
 }
 
 fn explain(
@@ -326,20 +319,7 @@ fn explain(
         Ok(v) => v,
         Err(o) => return o,
     };
-    match opt_param::<u64>(request, "epoch") {
-        Err(o) => o,
-        Ok(None) => match snapshot.explain(iface) {
-            Ok(answer) => serialize_ok(&answer),
-            Err(e) => service_error(e),
-        },
-        Ok(Some(epoch)) => match archive {
-            None => no_archive(),
-            Some(archive) => match archive.explain_at(iface, epoch) {
-                Ok(answer) => serialize_ok(&answer),
-                Err(e) => archive_error(e),
-            },
-        },
-    }
+    answer_at(request, snapshot, archive, |s| s.explain(iface))
 }
 
 fn trend(request: &Request, archive: Option<&SnapshotArchive<'_, '_>>) -> Outcome {

@@ -71,7 +71,10 @@ fn main() {
     for epoch in
         archive.first_epoch().expect("non-empty")..=archive.latest_epoch().expect("non-empty")
     {
-        match archive.verdict_at(probe.ixp, probe.addr, epoch) {
+        let answer = archive
+            .at(epoch)
+            .and_then(|snapshot| Ok(snapshot.verdict(probe.ixp, probe.addr)?));
+        match answer {
             Ok(answer) => println!("  epoch {epoch}: {:?}", answer.verdict),
             Err(err) => println!("  epoch {epoch}: {err}"),
         }

@@ -79,9 +79,7 @@ pub mod prelude {
     pub use opeer_core::evolution::monthly_deltas;
     // --- producer-side entry points the service wraps ---
     pub use opeer_core::baseline::{run_baseline, DEFAULT_THRESHOLD_MS};
-    pub use opeer_core::engine::{
-        assemble_and_run_parallel, run_pipeline_parallel, ParallelConfig,
-    };
+    pub use opeer_core::engine::ParallelConfig;
     pub use opeer_core::incremental::{
         run_pipeline_incremental, DirtyCounts, IncrementalPipeline, InputDelta, PublishDirty,
         ShardTotals,

@@ -73,33 +73,6 @@ fn ledger_is_stable_across_reruns() {
     assert_eq!(run(), run());
 }
 
-/// The parallel engine, at whatever thread count `OPEER_THREADS`
-/// selects (CI runs this under a 1/2/8 matrix), must reproduce both the
-/// pinned ledger and the sequential result byte for byte.
-#[test]
-fn parallel_engine_matches_pinned_ledger_under_env_threads() {
-    let world = WorldConfig::small(SEED).generate();
-    let input = InferenceInput::assemble(&world, SEED);
-    let sequential = run_pipeline(&input, &PipelineConfig::default());
-
-    let par = ParallelConfig::from_env();
-    let result = run_pipeline_parallel(&input, &PipelineConfig::default(), &par);
-
-    let actual = ledger(&result);
-    assert_eq!(
-        (actual.as_slice(), result.unclassified.len()),
-        (EXPECTED_LEDGER, EXPECTED_UNCLASSIFIED),
-        "parallel ledger drifted at {} threads; actual: {actual:?}, unclassified: {}",
-        par.threads,
-        result.unclassified.len()
-    );
-    assert_eq!(
-        result, sequential,
-        "parallel result diverged from sequential at {} threads",
-        par.threads
-    );
-}
-
 /// The incremental pipeline, replaying the measurements in epoch
 /// batches at the `OPEER_THREADS`-selected pool size, must land on the
 /// same pinned ledger and the same sequential result byte for byte —
@@ -145,10 +118,12 @@ fn incremental_epoch_replay_matches_pinned_ledger_under_env_threads() {
     );
 }
 
-/// The serving layer, at the `OPEER_THREADS`-selected pool size, must
-/// publish a snapshot whose retained result matches the pinned ledger
-/// and the sequential pipeline byte for byte — and its indexed rollups
-/// must agree with the ledger tally this file pins.
+/// The serving layer, at the `OPEER_THREADS`-selected pool size (CI
+/// runs this under a 1/2/8 matrix), must publish a snapshot whose
+/// retained result — one `IncrementalPipeline::new` run, the parallel
+/// one-shot path — matches the pinned ledger and the sequential
+/// pipeline byte for byte, and its indexed rollups must agree with the
+/// ledger tally this file pins.
 #[test]
 fn service_snapshot_matches_pinned_ledger_under_env_threads() {
     let world = WorldConfig::small(SEED).generate();
@@ -267,14 +242,13 @@ fn monthly_delta_stream_is_prefix_consistent_and_pinned() {
     );
 }
 
-/// Parallel assembly and the overlapped assemble+infer path, at the
-/// `OPEER_THREADS`-selected pool size, must reproduce the sequential
-/// artifacts and the pinned ledger byte for byte.
+/// Parallel assembly at the `OPEER_THREADS`-selected pool size must
+/// reproduce the sequential artifacts, and the service built over it
+/// the pinned ledger, byte for byte.
 #[test]
 fn parallel_assembly_matches_pinned_ledger_under_env_threads() {
     let world = WorldConfig::small(SEED).generate();
     let input = InferenceInput::assemble(&world, SEED);
-    let sequential = run_pipeline(&input, &PipelineConfig::default());
 
     let par = ParallelConfig::from_env();
     let assembled = InferenceInput::assemble_parallel(&world, SEED, &par);
@@ -283,25 +257,14 @@ fn parallel_assembly_matches_pinned_ledger_under_env_threads() {
         "parallel assembly diverged at {} threads",
         par.threads
     );
-    let result = run_pipeline_parallel(&assembled, &PipelineConfig::default(), &par);
-    let actual = ledger(&result);
+    let service = PeeringService::build(assembled, &PipelineConfig::default(), &par);
+    let snapshot = service.snapshot();
+    let result = snapshot.result();
+    let actual = ledger(result);
     assert_eq!(
         (actual.as_slice(), result.unclassified.len()),
         (EXPECTED_LEDGER, EXPECTED_UNCLASSIFIED),
         "ledger over parallel-assembled input drifted at {} threads; actual: {actual:?}",
-        par.threads
-    );
-
-    let (e2e_input, e2e_result) =
-        assemble_and_run_parallel(&world, SEED, &PipelineConfig::default(), &par);
-    assert!(
-        e2e_input.content_eq(&input),
-        "overlapped assembly diverged at {} threads",
-        par.threads
-    );
-    assert_eq!(
-        e2e_result, sequential,
-        "overlapped result diverged from sequential at {} threads",
         par.threads
     );
 }

@@ -1,11 +1,13 @@
-//! Parallel/sequential equivalence of the sharded inference engine.
+//! Parallel/sequential equivalence of assembly and inference.
 //!
-//! The engine's contract is exact: for any world, any seed, and any
-//! thread count, `run_pipeline_parallel` must produce a byte-identical
-//! `PipelineResult` to the sequential `run_pipeline` — same inferences
-//! in the same order, same diagnostics, same per-step counts. The
-//! proptest below drives that over generated worlds; the merge tests
-//! pin the deterministic shard-merge ordering the engine relies on.
+//! The contract is exact: for any world, any seed, and any thread
+//! count, `assemble_parallel` must reproduce `assemble`, and
+//! `IncrementalPipeline::new` (the parallel one-shot run the service
+//! builds on) must produce a byte-identical `PipelineResult` to the
+//! sequential `run_pipeline` — same inferences in the same order, same
+//! diagnostics, same per-step counts. The proptest below drives that
+//! over generated worlds; the merge tests pin the deterministic
+//! shard-merge ordering the parallel paths rely on.
 
 use opeer::core::steps::Ledger;
 use opeer::prelude::*;
@@ -27,7 +29,7 @@ fn tiny_world(seed: u64) -> WorldConfig {
 proptest! {
     // Case count comes from proptest.toml (PROPTEST_CASES overrides);
     // each case covers world generation, sequential and parallel
-    // assembly, the sequential reference and two engine configurations.
+    // assembly, the sequential reference and two pool sizes.
     #[test]
     fn parallel_equals_sequential_for_any_seed(
         seed in 0u64..10_000,
@@ -40,36 +42,21 @@ proptest! {
         for n in [1, threads] {
             let par = ParallelConfig::new(n);
             let assembled = InferenceInput::assemble_parallel(&world, seed, &par);
+            let pipe = IncrementalPipeline::new(assembled, &cfg, &par);
             prop_assert!(
-                assembled.content_eq(&input),
+                pipe.input().content_eq(&input),
                 "parallel assembly with {} threads diverged on seed {}",
                 n,
                 seed
             );
-            let parallel = run_pipeline_parallel(&input, &cfg, &par);
             prop_assert_eq!(
-                &parallel,
+                pipe.result(),
                 &sequential,
-                "engine with {} threads diverged on seed {}",
+                "pipeline with {} threads diverged on seed {}",
                 n,
                 seed
             );
         }
-        // The overlapped path (assembly interleaved with steps 1–3)
-        // must land on the same bytes as both sequential passes.
-        let (e2e_input, e2e_result) =
-            assemble_and_run_parallel(&world, seed, &cfg, &ParallelConfig::new(threads));
-        prop_assert!(
-            e2e_input.content_eq(&input),
-            "overlapped assembly diverged on seed {}",
-            seed
-        );
-        prop_assert_eq!(
-            &e2e_result,
-            &sequential,
-            "overlapped inference diverged on seed {}",
-            seed
-        );
     }
 }
 
@@ -187,14 +174,34 @@ fn corpus_shards_concatenate_to_sequential_corpus() {
 
 #[test]
 fn engine_thread_count_does_not_leak_into_result() {
-    // Same input, sweep of pool sizes (including more threads than
-    // shards): every result must be identical to every other.
+    // Same world, sweep of pool sizes (including more threads than
+    // shards): every input and result must be identical to every other
+    // and to the sequential reference.
     let world = WorldConfig::small(4242).generate();
     let input = InferenceInput::assemble(&world, 4242);
     let cfg = PipelineConfig::default();
-    let reference = run_pipeline_parallel(&input, &cfg, &ParallelConfig::new(1));
+    let sequential = run_pipeline(&input, &cfg);
+    let build = |threads: usize| {
+        let par = ParallelConfig::new(threads);
+        IncrementalPipeline::new(
+            InferenceInput::assemble_parallel(&world, 4242, &par),
+            &cfg,
+            &par,
+        )
+    };
+    let reference = build(1);
+    assert!(reference.input().content_eq(&input));
+    assert_eq!(*reference.result(), sequential);
     for threads in [2, 3, 5, 16, 64] {
-        let r = run_pipeline_parallel(&input, &cfg, &ParallelConfig::new(threads));
-        assert_eq!(r, reference, "thread count {threads} changed the result");
+        let pipe = build(threads);
+        assert!(
+            pipe.input().content_eq(&input),
+            "thread count {threads} changed the input"
+        );
+        assert_eq!(
+            pipe.result(),
+            reference.result(),
+            "thread count {threads} changed the result"
+        );
     }
 }
