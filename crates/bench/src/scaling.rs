@@ -80,6 +80,18 @@ impl PhaseScaling {
             .find(|p| p.threads == threads)
             .map(|p| p.speedup)
     }
+
+    /// The best speedup among the points that fit on the host
+    /// (`threads <= host_parallelism`). An over-subscribed point times
+    /// the scheduler, not the engine, so it cannot set the best; with no
+    /// fitting multi-thread point this is the 1-thread point.
+    pub fn best_speedup_within(&self, host_parallelism: usize) -> f64 {
+        self.points
+            .iter()
+            .filter(|p| p.threads <= host_parallelism.max(1))
+            .map(|p| p.speedup)
+            .fold(0.0, f64::max)
+    }
 }
 
 /// BENCH schema tag shared by every report this crate writes
@@ -106,9 +118,10 @@ pub struct ScalingReport {
     pub samples: usize,
     /// The machine's available parallelism when the study ran.
     pub host_parallelism: usize,
-    /// Best pipeline-phase speedup across the thread sweep — the number
-    /// CI's perf gate floors (new in schema 6): `run_pipeline` against
-    /// `IncrementalPipeline::new`, the production parallel path.
+    /// Best pipeline-phase speedup across the swept thread counts that
+    /// fit on the host ([`PhaseScaling::best_speedup_within`]) — the
+    /// number CI's perf gate floors (new in schema 6): `run_pipeline`
+    /// against `IncrementalPipeline::new`, the production parallel path.
     pub best_pipeline_speedup: f64,
     /// Measurement assembly: `InferenceInput::assemble` vs
     /// `assemble_parallel` (registry fusion + campaign + corpus +
@@ -361,11 +374,8 @@ pub fn run_scaling_study(
         && gateway.ok
         && archive.identical
         && memory.identical;
-    let best_pipeline_speedup = pipeline
-        .points
-        .iter()
-        .map(|p| p.speedup)
-        .fold(0.0, f64::max);
+    let host_parallelism = ParallelConfig::available_parallelism();
+    let best_pipeline_speedup = pipeline.best_speedup_within(host_parallelism);
     ScalingReport {
         schema: BENCH_SCHEMA,
         world: world_label.to_string(),
@@ -374,7 +384,7 @@ pub fn run_scaling_study(
         interfaces: input.observed.total_interfaces(),
         inferences: sequential.inferences.len(),
         samples,
-        host_parallelism: ParallelConfig::available_parallelism(),
+        host_parallelism,
         best_pipeline_speedup,
         assembly,
         pipeline,
@@ -425,17 +435,16 @@ mod tests {
         assert!(report.assembly.speedup_at(2).is_some());
         assert!(report.pipeline.sequential_ms.min > 0.0);
         assert!(report.assembly.sequential_ms.min > 0.0);
-        assert!(
-            (report.best_pipeline_speedup
-                - report
-                    .pipeline
-                    .points
-                    .iter()
-                    .map(|p| p.speedup)
-                    .fold(0.0, f64::max))
-            .abs()
-                < 1e-12
+        assert_eq!(
+            report.best_pipeline_speedup,
+            report.pipeline.best_speedup_within(report.host_parallelism)
         );
+        assert!(report
+            .pipeline
+            .points
+            .iter()
+            .any(|p| p.threads <= report.host_parallelism.max(1)
+                && p.speedup == report.best_pipeline_speedup));
         assert!(report.memory.identical, "memory study diverged");
         assert!(report.memory.zero_dirty_shared_all);
         assert!(report.memory.retained_bytes_final > 0);
@@ -450,5 +459,31 @@ mod tests {
         assert!(json.contains("\"gateway\":"));
         assert!(json.contains("\"archive\":"));
         assert!(json.contains("\"memory\":"));
+    }
+
+    #[test]
+    fn best_speedup_ignores_oversubscribed_points() {
+        let point = |threads, speedup| ThreadPoint {
+            threads,
+            timing_ms: TimingMs::from_samples(&[1.0]),
+            speedup,
+            identical: true,
+        };
+        let phase = PhaseScaling {
+            sequential_ms: TimingMs::from_samples(&[1.0]),
+            points: vec![
+                point(1, 0.97),
+                point(2, 1.08),
+                point(4, 1.31),
+                point(8, 1.47),
+            ],
+            all_identical: true,
+        };
+        // A 2-vCPU host: the 8-thread point's 1.47 is noise, not scaling.
+        assert_eq!(phase.best_speedup_within(2), 1.08);
+        assert_eq!(phase.best_speedup_within(8), 1.47);
+        assert_eq!(phase.best_speedup_within(16), 1.47);
+        // No multi-thread point fits: the 1-thread point stands in.
+        assert_eq!(phase.best_speedup_within(1), 0.97);
     }
 }

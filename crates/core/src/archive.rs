@@ -244,16 +244,13 @@ impl ArchiveIndex {
 
     /// Evicts the oldest retained snapshots until at most `keep` remain.
     /// The newest snapshot is never evicted (a `keep` of 0 acts as 1),
-    /// and the dirty log keeps the evicted epochs' records. Returns how
-    /// many snapshots were released.
-    fn evict_to(&mut self, keep: usize) -> usize {
+    /// and the dirty log keeps the evicted epochs' records. Returns the
+    /// evicted entries, so the caller can free them (an evicted snapshot
+    /// is often the last owner of its result) after releasing the lock.
+    fn evict_to(&mut self, keep: usize) -> Vec<ArchivedEpoch> {
         let keep = keep.max(1);
-        if self.epochs.len() <= keep {
-            return 0;
-        }
-        let evict = self.epochs.len() - keep;
-        self.epochs.drain(..evict);
-        evict
+        let evict = self.epochs.len().saturating_sub(keep);
+        self.epochs.drain(..evict).collect()
     }
 }
 
@@ -353,11 +350,12 @@ impl<'s, 'w> SnapshotArchive<'s, 'w> {
             epoch: report.epoch,
             dirty: report.dirty,
         });
-        // Compaction rides the same lock: the memory ceiling holds the
-        // moment apply returns, not at some later maintenance tick.
-        if let Some(keep) = self.retain {
-            inner.evict_to(keep);
-        }
+        // Compaction rides the same lock, so the memory ceiling holds the
+        // moment apply returns; the evicted snapshots are freed after the
+        // lock is released, so readers never wait on the deallocation.
+        let evicted = self.retain.map(|keep| inner.evict_to(keep));
+        drop(inner);
+        drop(evicted);
         report
     }
 
@@ -368,10 +366,14 @@ impl<'s, 'w> SnapshotArchive<'s, 'w> {
     /// re-derivable by replaying the input stream — see
     /// [`SnapshotArchive::attach_with_retention`].
     pub fn evict_to(&self, keep: usize) -> usize {
-        self.inner
+        let evicted = self
+            .inner
             .write()
             .expect("archive index poisoned")
-            .evict_to(keep)
+            .evict_to(keep);
+        // The guard is a temporary of the statement above: the snapshots
+        // are freed here, outside the lock.
+        evicted.len()
     }
 
     /// The service's current snapshot — the same `Arc` pointer

@@ -5,42 +5,47 @@
 //! dataflow** for streaming ingestion: campaign observations and public
 //! traceroutes arrive in epoch batches ([`InputDelta`]), and a retained
 //! [`IncrementalPipeline`] recomputes only the shards each delta
-//! touches — step 1/5 by IXP, step 2 by campaign chunk, step 3 by
-//! target, step 4 by corpus chunk + candidate ASN — then re-merges into
-//! the ledger with the fixed order and first-writer-wins semantics of
-//! the sequential pass.
+//! touches — step 1 by IXP, step 2 by campaign chunk, step 3 by target,
+//! step 4 by corpus chunk + candidate ASN, step 5 by member interface —
+//! then commits them with the fixed order and first-writer-wins
+//! semantics of the sequential pass.
 //!
 //! ## The dirty-shard model
 //!
-//! The cache holds **per-shard outputs**, not the merged result: per-IXP
-//! step-1 ledgers, the step-2 consolidation map, per-target step-3
-//! evaluations, the set-union step-4 evidence and per-candidate
-//! outcomes, the append-only step-5 evidence and per-IXP proposal
-//! lists. Each [`IncrementalPipeline::apply`] recomputes the dirty
-//! shards on the engine's [`map_indexed`] pool and then replays the
-//! cheap deterministic merge over *all* cached shard outputs, so the
-//! merge order — the part that decides address collisions — is always
-//! the full sequential order, never an incremental approximation.
+//! The cache holds **per-shard outputs**: the merged step-1 ledger, the
+//! step-2 consolidation map, per-target step-3 evaluations (and their
+//! dense [`step4::Step3Index`] rows), the merged steps-1–3 ledger, the
+//! set-union step-4 evidence and per-candidate outcomes, the append-only
+//! step-5 evidence, the post-step-4 unknown set and one step-5 vote per
+//! member interface. Each [`IncrementalPipeline::apply`] recomputes the
+//! dirty shards on the engine's [`map_indexed`] pool and patches the
+//! merged state only where a shard's output moved.
 //!
 //! Dirtiness propagates along real data dependencies:
 //!
 //! * a **campaign batch** consolidates only its own observation range
 //!   (step 2); targets whose best observation changed re-evaluate
-//!   (step 3); candidates whose own LAN priors or annuli changed
-//!   re-classify (step 4); IXPs whose unknown set changed re-vote
-//!   (step 5);
+//!   (step 3); the steps-1–3 ledger takes new inferences in place and
+//!   is rebuilt only if an inference changed or vanished; candidates
+//!   whose own LAN priors or annuli changed re-classify (step 4);
 //! * a **corpus batch** is scanned once for step-4 pairs/crossings and
 //!   once for step-5 private adjacencies; only candidate ASNs whose
-//!   evidence actually **grew** re-classify, and only IXPs hosting an
-//!   ASN with new witnesses (or whose unknown set changed) re-vote;
+//!   evidence actually **grew** re-classify, and only unknown
+//!   interfaces of an ASN with new witnesses re-vote;
+//! * the **unknown set** moves only at addresses whose step-3 or step-4
+//!   record moved; an interface that enters it without a cached vote
+//!   is voted;
 //! * a **registry revision** invalidates everything — the fused dataset
 //!   is the substrate every step resolves through, so it triggers a
 //!   full re-run (equivalent to a fresh [`IncrementalPipeline::new`]).
 //!
 //! Evidence is monotone within a registry epoch (campaign and corpus
-//! only append), which is what makes the per-candidate and per-IXP
+//! only append), which is what makes the per-candidate and per-interface
 //! caches sound: a clean shard's inputs are byte-identical to the ones
-//! it was computed from.
+//! it was computed from. A step-5 vote
+//! ([`step5::classify_interface`]) reads only its interface, the
+//! registry, the alias data and the witness list of its own member ASN,
+//! so it stays valid until that list grows.
 //!
 //! ## Why the merge is exact
 //!
@@ -65,10 +70,17 @@
 //!   merge is order-independent) and its classification by candidate
 //!   ASN: propagation only ever touches the candidate's own LAN
 //!   interfaces, so verdicts of other candidates can never feed back.
-//!   Outcomes commit in ascending ASN order — the sequential order.
-//! * **Step 5** shards by observed IXP against the frozen steps-1–4
-//!   ledger: the facility vote never reads the ledger, and each LAN
-//!   address is visited once.
+//!   Every recorded inference is an interface of its own candidate that
+//!   the steps-1–3 ledger leaves unknown.
+//! * **Step 5** shards by member interface against the frozen
+//!   post-step-4 unknown set: the facility vote never reads the ledger,
+//!   and each LAN address is visited once.
+//!
+//! The three record sets therefore hold disjoint addresses (each
+//! member interface address belongs to one IXP, the single-membership
+//! lemma [`PublishDirty`] also rests on), so every record counts and the
+//! final inferences are one address-ordered merge of the steps-1–3
+//! ledger, the step-4 records and the step-5 proposals.
 //!
 //! The worker pool itself is free to schedule shards in any order —
 //! results land in per-shard slots and are merged by index, never by
@@ -86,13 +98,14 @@
 
 use crate::engine::{map_indexed, shard_ranges, ParallelConfig};
 use crate::input::InferenceInput;
+use crate::intern::AddrId;
 use crate::pipeline::{PipelineConfig, PipelineResult, StepCounts};
 use crate::steps::step2::RttObservation;
 use crate::steps::step3::Step3Detail;
-use crate::steps::step4::{self, CandidateOutcome, CorpusChunk, Step4Evidence};
+use crate::steps::step4::{self, CandidateOutcome, CorpusChunk, Step3Index, Step4Evidence};
 use crate::steps::step5::{self, PrivateEvidence};
 use crate::steps::{step1, step2, step3, Ledger};
-use crate::types::{Inference, Unclassified};
+use crate::types::{Inference, Step, Unclassified, Verdict};
 use opeer_measure::campaign::CampaignResult;
 use opeer_measure::traceroute::Traceroute;
 use opeer_net::Asn;
@@ -100,10 +113,15 @@ use opeer_registry::{ObservedWorld, Table1Stats};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One cached step-3 evaluation: the per-target detail plus the
 /// inference it produced, if any.
 type Step3Eval = (Step3Detail, Option<Inference>);
+
+/// One step-5 facility vote: the verdict and its evidence line, or
+/// `None` when the vote left the interface unclassified.
+type Vote = Option<(Verdict, String)>;
 
 /// One epoch's worth of new input: any combination of a campaign
 /// partial, a traceroute batch, and a registry revision.
@@ -207,7 +225,9 @@ pub struct DirtyCounts {
     /// Step-4 candidate ASNs re-classified (alias resolution and rule
     /// application — the expensive per-candidate work).
     pub step4_candidates: usize,
-    /// Step-5 IXP shards whose facility vote re-ran.
+    /// IXPs whose step-5 proposals were rebuilt: every IXP on a full
+    /// run, otherwise those holding an interface that was re-voted or
+    /// entered or left the unknown set.
     pub step5_ixps: usize,
 }
 
@@ -314,32 +334,48 @@ pub struct IncrementalPipeline<'w> {
     cfg: PipelineConfig,
     par: ParallelConfig,
 
-    // ---- registry-derived lookup tables (rebuilt on revisions) ----
-    /// `ASN → observed IXP indices` it holds interfaces at.
-    asn_ixps: BTreeMap<Asn, BTreeSet<usize>>,
+    // ---- registry-derived tables (rebuilt on revisions) ----
+    /// Every member interface as its residual [`Unclassified`] row,
+    /// dense by [`AddrId`].
+    members: Vec<Unclassified>,
+    /// Member-interface ids in IXP-major, address-minor order: the order
+    /// of the residual `unclassified` rows.
+    rows: Vec<AddrId>,
 
     // ---- per-shard caches ----
-    /// Step 1: one ledger per observed IXP.
-    step1: Vec<Ledger>,
+    /// Step 1: the per-IXP ledgers, absorbed in IXP order.
+    ledger1: Ledger,
     /// Step 2: the merged best-observation map.
     observations: BTreeMap<Ipv4Addr, RttObservation>,
     /// Step 3: per-target evaluation (detail + optional inference).
     step3: BTreeMap<Ipv4Addr, Step3Eval>,
-    /// Merged steps-1–3 ledger of the last run (step 4's frozen priors).
+    /// Step 3: the details dense by [`AddrId`] — the rows of step 4's
+    /// [`step4::Step3Index`], patched per re-evaluated target.
+    step3_rows: Vec<Option<Step3Detail>>,
+    /// Merged steps-1–3 ledger (step 4's frozen priors), rebuilt only
+    /// when a step-3 inference changed or vanished.
     ledger123: Ledger,
+    /// Step-3 inferences `ledger123` took (step 1 wins collisions).
+    n3: usize,
     /// Step 4: lookup data + set-union corpus evidence (grows in place).
     evidence: Step4Evidence,
     /// Step 4: cached outcome per candidate ASN.
     outcomes: BTreeMap<Asn, CandidateOutcome>,
     /// Step 5: append-only private-adjacency evidence.
     ev5: PrivateEvidence,
-    /// Step 5: cached proposals per observed IXP.
-    step5_proposals: Vec<Vec<Inference>>,
-    /// Step 5: each IXP shard's input fingerprint — the addresses still
-    /// unknown after steps 1–4 when its proposals were computed.
-    step5_unknown: Vec<Vec<Ipv4Addr>>,
+    /// Step 5's input set: whether each member interface is still
+    /// unknown after steps 1–4, dense by [`AddrId`].
+    unknown: Vec<bool>,
+    /// Step 5: the cached facility vote per member interface, dense by
+    /// [`AddrId`]; `None` where no vote is cached. Every unknown
+    /// interface holds one.
+    votes: Vec<Option<Vote>>,
+    /// The interfaces the last recompute voted on.
+    voted: Vec<AddrId>,
 
-    result: PipelineResult,
+    /// The result of the last run, shared with the snapshot that
+    /// publishes it.
+    result: Arc<PipelineResult>,
     last_dirty: DirtyCounts,
     last_publish: PublishDirty,
     epochs_applied: usize,
@@ -356,11 +392,14 @@ impl<'w> IncrementalPipeline<'w> {
             input,
             cfg: *cfg,
             par: *par,
-            asn_ixps: BTreeMap::new(),
-            step1: Vec::new(),
+            members: Vec::new(),
+            rows: Vec::new(),
+            ledger1: Ledger::new(),
             observations: BTreeMap::new(),
             step3: BTreeMap::new(),
+            step3_rows: Vec::new(),
             ledger123: Ledger::new(),
+            n3: 0,
             evidence: Step4Evidence {
                 data: opeer_traix::IxpData::new(),
                 as_pairs: BTreeMap::new(),
@@ -369,16 +408,17 @@ impl<'w> IncrementalPipeline<'w> {
             },
             outcomes: BTreeMap::new(),
             ev5: PrivateEvidence::default(),
-            step5_proposals: Vec::new(),
-            step5_unknown: Vec::new(),
-            result: PipelineResult {
+            unknown: Vec::new(),
+            votes: Vec::new(),
+            voted: Vec::new(),
+            result: Arc::new(PipelineResult {
                 inferences: Vec::new(),
                 unclassified: Vec::new(),
                 observations: BTreeMap::new(),
                 step3_details: Vec::new(),
                 multi_ixp_routers: Vec::new(),
                 counts: StepCounts::default(),
-            },
+            }),
             last_dirty: DirtyCounts::default(),
             last_publish: PublishDirty::full(),
             epochs_applied: 0,
@@ -424,6 +464,12 @@ impl<'w> IncrementalPipeline<'w> {
         &self.result
     }
 
+    /// The current result as the shared allocation a snapshot publishes
+    /// without copying it.
+    pub(crate) fn shared_result(&self) -> &Arc<PipelineResult> {
+        &self.result
+    }
+
     /// Shard units the last [`IncrementalPipeline::apply`] (or
     /// [`IncrementalPipeline::new`]) recomputed.
     pub fn last_dirty(&self) -> DirtyCounts {
@@ -460,7 +506,78 @@ impl<'w> IncrementalPipeline<'w> {
         self.epochs_applied
     }
 
-    /// Recomputes dirty shards and replays the merge. `full` rebuilds
+    /// Resets every cache for a full recompute: the registry-derived
+    /// tables, empty measurement caches, and step 1, which is a pure
+    /// function of the registry (campaign/corpus deltas never dirty it).
+    fn reset(&mut self, threads: usize) {
+        let input = &self.input;
+        let interns = &input.interns;
+        let mut lan_ifaces: BTreeMap<Asn, Vec<(Ipv4Addr, usize)>> = BTreeMap::new();
+        let mut members: Vec<(AddrId, Unclassified)> = Vec::with_capacity(interns.addrs.len());
+        for (ixp, x) in input.observed.ixps.iter().enumerate() {
+            for (&addr, &asn) in &x.interfaces {
+                lan_ifaces.entry(asn).or_default().push((addr, ixp));
+                let id = interns
+                    .addr_id(addr)
+                    .expect("the input interns every member interface");
+                members.push((id, Unclassified { addr, ixp, asn }));
+            }
+        }
+        self.rows = members.iter().map(|&(id, _)| id).collect();
+        members.sort_by_key(|&(id, _)| id);
+        members.dedup_by_key(|&mut (id, _)| id);
+        debug_assert_eq!(
+            members.len(),
+            self.rows.len(),
+            "a member interface address is listed at two IXPs"
+        );
+        self.members = members.into_iter().map(|(_, m)| m).collect();
+        let n_ids = self.members.len();
+
+        self.evidence = Step4Evidence {
+            data: step4::ixp_data(input),
+            as_pairs: BTreeMap::new(),
+            crossings: BTreeMap::new(),
+            lan_ifaces,
+        };
+        self.ev5 = PrivateEvidence::default();
+        self.observations.clear();
+        self.step3.clear();
+        self.step3_rows = vec![None; n_ids];
+        self.outcomes.clear();
+        self.votes = vec![None; n_ids];
+
+        let shards = map_indexed(input.observed.ixps.len(), threads, |i| {
+            let mut ledger = Ledger::new();
+            step1::apply_to_ixps(input, i..i + 1, &mut ledger);
+            ledger
+        });
+        self.ledger1 = Ledger::new();
+        for shard in shards {
+            self.ledger1.absorb(shard);
+        }
+    }
+
+    /// Whether interface `id` is unknown after steps 1–4: not in
+    /// `ledger123`, and not recorded by its own ASN's step-4 outcome
+    /// (every step-4 record is an interface of its candidate ASN).
+    fn unknown_after_step4(&self, id: AddrId) -> bool {
+        let m = &self.members[id.0 as usize];
+        !self.ledger123.known(m.addr)
+            && !self
+                .outcomes
+                .get(&m.asn)
+                .is_some_and(|o| o.recorded.iter().any(|r| r.addr == m.addr))
+    }
+
+    /// Step 5's output at one interface: `None` when steps 1–4 classified
+    /// it, else its vote — a proposal, or `None` for a residual row.
+    fn step5_output(&self, id: AddrId) -> Option<&Vote> {
+        let id = id.0 as usize;
+        self.votes[id].as_ref().filter(|_| self.unknown[id])
+    }
+
+    /// Recomputes dirty shards and commits the result. `full` rebuilds
     /// everything (construction, registry revisions); otherwise only the
     /// campaign observations from `campaign_start` and corpus traces
     /// from `corpus_start` are new.
@@ -476,53 +593,22 @@ impl<'w> IncrementalPipeline<'w> {
 
         // A delta that carried nothing can change nothing: every cache
         // is a pure function of the (unchanged) accumulated input, so
-        // the retained result is still exact. Skip even the merge
-        // replay — the publish layer shares the previous snapshot
-        // wholesale off the `is_clean` marker.
+        // the retained result is still exact. Skip everything — the
+        // publish layer shares the previous snapshot wholesale off the
+        // `is_clean` marker.
         if !full
             && self.input.campaign.observations.len() == campaign_start
             && self.input.corpus.len() == corpus_start
         {
+            self.voted.clear();
             self.last_dirty = dirty;
             self.last_publish = publish;
             return;
         }
 
-        // ---- registry-derived tables + full-reset bookkeeping ----
         let (campaign_start, corpus_start) = if full {
-            let input = &self.input;
-            self.asn_ixps.clear();
-            let mut lan_ifaces: BTreeMap<Asn, Vec<(Ipv4Addr, usize)>> = BTreeMap::new();
-            for (i, ixp) in input.observed.ixps.iter().enumerate() {
-                for (&addr, &asn) in &ixp.interfaces {
-                    self.asn_ixps.entry(asn).or_default().insert(i);
-                    lan_ifaces.entry(asn).or_default().push((addr, i));
-                }
-            }
-            self.evidence = Step4Evidence {
-                data: step4::ixp_data(input),
-                as_pairs: BTreeMap::new(),
-                crossings: BTreeMap::new(),
-                lan_ifaces,
-            };
-            self.ev5 = PrivateEvidence::default();
-            self.observations.clear();
-            self.step3.clear();
-            self.ledger123 = Ledger::new();
-            self.outcomes.clear();
-            let n_ixps = input.observed.ixps.len();
-            self.step5_proposals = vec![Vec::new(); n_ixps];
-            self.step5_unknown = vec![Vec::new(); n_ixps];
-
-            // Step 1 is a pure function of the registry: recompute every
-            // per-IXP ledger (campaign/corpus deltas never dirty it).
-            let step1_input = &self.input;
-            self.step1 = map_indexed(n_ixps, threads, |i| {
-                let mut ledger = Ledger::new();
-                step1::apply_to_ixps(step1_input, i..i + 1, &mut ledger);
-                ledger
-            });
-            dirty.step1_ixps = n_ixps;
+            self.reset(threads);
+            dirty.step1_ixps = self.input.observed.ixps.len();
             (0, 0)
         } else {
             (campaign_start, corpus_start)
@@ -556,7 +642,9 @@ impl<'w> IncrementalPipeline<'w> {
         dirty.step2_observations = new_obs;
 
         // ---- step 3: re-evaluate only the changed targets ----
-        let step3_changed: BTreeSet<Ipv4Addr> = {
+        let mut ledger_stale = full;
+        let mut ledger_added: Vec<Inference> = Vec::new();
+        let step3_changed: Vec<Ipv4Addr> = {
             let input = &self.input;
             let observations = &self.observations;
             let speed = self.cfg.speed;
@@ -574,20 +662,29 @@ impl<'w> IncrementalPipeline<'w> {
                         })
                         .collect()
                 });
-            let mut changed = BTreeSet::new();
+            let mut changed = Vec::new();
             for (addr, eval) in evaluated.into_iter().flatten() {
-                if self.step3.get(&addr) != Some(&eval) {
-                    if !full {
-                        if let Some((_, Some(old))) = self.step3.get(&addr) {
-                            publish.mark(old);
-                        }
-                        if let Some(new) = &eval.1 {
-                            publish.mark(new);
-                        }
-                    }
-                    changed.insert(addr);
-                    self.step3.insert(addr, eval);
+                let old = self.step3.get(&addr);
+                if old == Some(&eval) {
+                    continue;
                 }
+                let old_inference = old.and_then(|(_, inf)| inf.as_ref());
+                match (old_inference, &eval.1) {
+                    (None, Some(new)) if !full => ledger_added.push(new.clone()),
+                    (old, new) if old != new.as_ref() => ledger_stale = true,
+                    _ => {}
+                }
+                if !full {
+                    if let Some(old) = old_inference {
+                        publish.mark(old);
+                    }
+                    if let Some(new) = &eval.1 {
+                        publish.mark(new);
+                    }
+                }
+                Step3Index::patch(&self.input.interns, &mut self.step3_rows, eval.0);
+                changed.push(addr);
+                self.step3.insert(addr, eval);
             }
             changed
         };
@@ -597,21 +694,17 @@ impl<'w> IncrementalPipeline<'w> {
         // when no inference flipped.
         publish.result_changed |= !step3_dirty.is_empty();
 
-        // ---- merged steps-1–3 ledger (step 4/5's frozen priors) ----
-        let mut ledger123 = Ledger::new();
-        let mut n1 = 0;
-        for shard in &self.step1 {
-            n1 += ledger123.absorb(shard.clone());
+        // ---- merged steps-1–3 ledger (step 4/5's frozen priors): kept
+        // while step-3 inferences only appear at new addresses, rebuilt
+        // when one changes or vanishes ----
+        if ledger_stale {
+            let mut ledger = self.ledger1.clone();
+            self.n3 =
+                ledger.record_distinct(self.step3.values().filter_map(|(_, inf)| inf.clone()));
+            self.ledger123 = ledger;
+        } else if !ledger_added.is_empty() {
+            self.n3 += self.ledger123.record_distinct(ledger_added);
         }
-        let mut n3 = 0;
-        for (_, inference) in self.step3.values() {
-            if let Some(inf) = inference {
-                if ledger123.record(inf.clone()) {
-                    n3 += 1;
-                }
-            }
-        }
-        self.ledger123 = ledger123;
 
         // ---- evidence scans over the new corpus range ----
         let new_traces = self.input.corpus.len() - corpus_start;
@@ -646,40 +739,37 @@ impl<'w> IncrementalPipeline<'w> {
 
         // ---- step 4: re-classify dirty candidates against the frozen
         // priors (new candidates, grown evidence, or changed own-LAN
-        // priors/annuli). The "own LAN" an outcome reads is exactly
-        // `evidence.lan_ifaces[asn]`, so the changed-prior set is
-        // derived from the same table — an ASN is dirty iff one of the
-        // addresses it would read changed. ----
-        let prior_changed_asns: BTreeSet<Asn> = if step3_changed.is_empty() {
+        // priors/annuli). An outcome reads priors and step-3 rows only at
+        // its candidate's own LAN interfaces, so a changed target dirties
+        // exactly the ASN that owns it. ----
+        let prior_changed: BTreeSet<Asn> = if full {
             BTreeSet::new()
         } else {
-            self.evidence
-                .lan_ifaces
+            step3_changed
                 .iter()
-                .filter(|(_, lans)| lans.iter().any(|(a, _)| step3_changed.contains(a)))
-                .map(|(&asn, _)| asn)
+                .filter_map(|&a| self.input.interns.addr_id(a))
+                .map(|id| self.members[id.0 as usize].asn)
                 .collect()
         };
-        let candidates = step4::candidates(&self.evidence);
-        let details_idx =
-            step4::Step3Index::build(&self.input.interns, self.step3.values().map(|(d, _)| *d));
+        // Where the post-step-4 known set can have moved: targets whose
+        // step-3 evaluation changed, and records of changed outcomes.
+        let mut moved = step3_changed;
         {
-            let dirty_cands: Vec<Asn> = candidates
-                .iter()
-                .copied()
+            let dirty_cands: Vec<Asn> = step4::candidates(&self.evidence)
+                .into_iter()
                 .filter(|asn| {
                     !self.outcomes.contains_key(asn)
                         || ev4_dirty.contains(asn)
-                        || prior_changed_asns.contains(asn)
+                        || prior_changed.contains(asn)
                 })
                 .collect();
             let input = &self.input;
             let evidence = &self.evidence;
             let priors = &self.ledger123;
             let alias = &self.cfg.alias;
-            let details = &details_idx;
+            let details = Step3Index::over(&input.interns, &self.step3_rows);
             let fresh = map_indexed(dirty_cands.len(), threads, |i| {
-                step4::classify_candidate(input, evidence, dirty_cands[i], details, alias, priors)
+                step4::classify_candidate(input, evidence, dirty_cands[i], &details, alias, priors)
             });
             for (asn, outcome) in dirty_cands.iter().zip(fresh) {
                 let old = self.outcomes.insert(*asn, outcome);
@@ -699,142 +789,184 @@ impl<'w> IncrementalPipeline<'w> {
                         .chain(new.recorded.iter())
                     {
                         publish.mark(inf);
+                        moved.push(inf.addr);
                     }
                 }
             }
             dirty.step4_candidates = dirty_cands.len();
         }
 
-        // ---- commit step 4 in ascending-ASN order ----
-        let mut ledger = self.ledger123.clone();
-        let mut n4 = 0;
-        for outcome in self.outcomes.values() {
-            for inf in &outcome.recorded {
-                if ledger.record(inf.clone()) {
-                    n4 += 1;
+        // ---- commit step 4 into the unknown set. Step 4 records only
+        // interfaces `ledger123` leaves unknown, each of its own
+        // candidate ASN, so the post-step-4 known set is `ledger123`
+        // plus those records, and it moves only where a step-3 or step-4
+        // record moved. ----
+        let flips: Vec<AddrId> = if full {
+            let interns = &self.input.interns;
+            self.unknown = vec![true; self.members.len()];
+            let step4_addrs = self
+                .outcomes
+                .values()
+                .flat_map(|o| o.recorded.iter().map(|r| r.addr));
+            for addr in self.ledger123.addrs().chain(step4_addrs) {
+                if let Some(id) = interns.addr_id(addr) {
+                    self.unknown[id.0 as usize] = false;
                 }
             }
-        }
-
-        // ---- step 5: re-vote IXPs whose unknown set or witness
-        // evidence changed, against the frozen post-step-4 ledger ----
-        let n_ixps = self.input.observed.ixps.len();
-        let unknown: Vec<Vec<Ipv4Addr>> = self
-            .input
-            .observed
-            .ixps
-            .iter()
-            .map(|ixp| {
-                ixp.interfaces
-                    .keys()
-                    .copied()
-                    .filter(|&a| !ledger.known(a))
-                    .collect()
-            })
-            .collect();
-        let mut ev5_dirty_ixps: BTreeSet<usize> = BTreeSet::new();
-        for asn in &ev5_dirty {
-            if let Some(ixps) = self.asn_ixps.get(asn) {
-                ev5_dirty_ixps.extend(ixps.iter().copied());
-            }
-        }
-        // A changed unknown set is an observable change in itself — the
-        // residual [`Unclassified`] rows and per-IXP tallies move even
-        // if the re-vote reproduces the same proposals. Mark the IXP and
-        // the owners of the addresses that entered or left (both sides
-        // are sorted interface-key subsets, so a merge walk diffs them).
-        if !full {
-            for (i, now) in unknown.iter().enumerate() {
-                let was = &self.step5_unknown[i];
-                if now == was {
-                    continue;
-                }
-                publish.result_changed = true;
-                publish.ixps.insert(i);
-                let interfaces = &self.input.observed.ixps[i].interfaces;
-                for addr in now
-                    .iter()
-                    .filter(|a| was.binary_search(a).is_err())
-                    .chain(was.iter().filter(|a| now.binary_search(a).is_err()))
-                {
-                    if let Some(&asn) = interfaces.get(addr) {
-                        publish.asns.insert(asn);
-                    }
-                }
-            }
-        }
-        {
-            let dirty_ixps: Vec<usize> = (0..n_ixps)
-                .filter(|&i| {
-                    full || unknown[i] != self.step5_unknown[i] || ev5_dirty_ixps.contains(&i)
-                })
+            Vec::new()
+        } else {
+            let mut ids: Vec<AddrId> = moved
+                .iter()
+                .filter_map(|&a| self.input.interns.addr_id(a))
                 .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.retain(|&id| self.unknown[id.0 as usize] != self.unknown_after_step4(id));
+            ids
+        };
+
+        // ---- step 5: vote the unknown interfaces whose vote inputs
+        // changed. A vote reads only its interface, the registry and the
+        // witness list of its own ASN, so it stays valid until that list
+        // grows. ----
+        let (voted, touched, before) = if full {
+            let voted: Vec<AddrId> = (0..self.members.len())
+                .filter(|&i| self.unknown[i])
+                .map(|i| AddrId(i as u32))
+                .collect();
+            (voted, Vec::new(), Vec::new())
+        } else {
+            let grown: Vec<AddrId> = ev5_dirty
+                .iter()
+                .filter_map(|asn| self.evidence.lan_ifaces.get(asn))
+                .flatten()
+                .filter_map(|&(a, _)| self.input.interns.addr_id(a))
+                .collect();
+            // Step 5's output can move only at these interfaces; their
+            // outputs before the epoch decide what the publish marks.
+            let mut touched: Vec<AddrId> = flips.iter().chain(&grown).copied().collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let before: Vec<Option<Vote>> = touched
+                .iter()
+                .map(|&id| self.step5_output(id).cloned())
+                .collect();
+            for id in &flips {
+                let slot = &mut self.unknown[id.0 as usize];
+                *slot = !*slot;
+            }
+            for id in &grown {
+                self.votes[id.0 as usize] = None;
+            }
+            let voted: Vec<AddrId> = touched
+                .iter()
+                .copied()
+                .filter(|id| self.unknown[id.0 as usize] && self.votes[id.0 as usize].is_none())
+                .collect();
+            (voted, touched, before)
+        };
+        {
             let input = &self.input;
             let ev5 = &self.ev5;
             let alias = &self.cfg.alias;
-            let priors = &ledger;
-            let fresh = map_indexed(dirty_ixps.len(), threads, |k| {
-                let i = dirty_ixps[k];
-                step5::propose_for_ixps(input, ev5, alias, i..i + 1, priors)
+            let members = &self.members;
+            let fresh = map_indexed(voted.len(), threads, |k| {
+                let m = &members[voted[k].0 as usize];
+                step5::classify_interface(input, ev5, alias, m.ixp, m.addr, m.asn)
             });
-            for (&i, proposals) in dirty_ixps.iter().zip(fresh) {
-                if !full && self.step5_proposals[i] != proposals {
-                    publish.result_changed = true;
-                    publish.ixps.insert(i);
-                    for inf in self.step5_proposals[i].iter().chain(proposals.iter()) {
-                        publish.mark(inf);
-                    }
-                }
-                self.step5_proposals[i] = proposals;
-            }
-            dirty.step5_ixps = dirty_ixps.len();
-        }
-        self.step5_unknown = unknown;
-
-        // ---- commit step 5 in IXP order ----
-        let mut n5 = 0;
-        for proposals in &self.step5_proposals {
-            for inf in proposals {
-                if ledger.record(inf.clone()) {
-                    n5 += 1;
-                }
+            for (id, vote) in voted.iter().zip(fresh) {
+                self.votes[id.0 as usize] = Some(vote);
             }
         }
+        for (&id, was) in touched.iter().zip(&before) {
+            if self.step5_output(id) != was.as_ref() {
+                // A proposal or residual row appeared, vanished or
+                // changed: it lands in its IXP's rollup and its ASN's
+                // report partition.
+                let m = &self.members[id.0 as usize];
+                publish.result_changed = true;
+                publish.ixps.insert(m.ixp);
+                publish.asns.insert(m.asn);
+            }
+        }
+        dirty.step5_ixps = if full {
+            self.input.observed.ixps.len()
+        } else {
+            voted
+                .iter()
+                .chain(&flips)
+                .map(|id| self.members[id.0 as usize].ixp)
+                .collect::<BTreeSet<usize>>()
+                .len()
+        };
+        self.voted = voted;
+        self.last_dirty = dirty;
 
-        // ---- residual unknowns + result assembly ----
-        let mut unclassified = Vec::new();
-        for (ixp_idx, ixp) in self.input.observed.ixps.iter().enumerate() {
-            for (&addr, &asn) in &ixp.interfaces {
-                if !ledger.known(addr) {
-                    unclassified.push(Unclassified {
-                        addr,
-                        ixp: ixp_idx,
-                        asn,
+        // ---- the result. Steps 1–3 (`ledger123`), step 4 and step 5
+        // hold disjoint addresses, so the inferences are one
+        // address-ordered merge and every record counts. ----
+        if publish.result_changed {
+            let mut late: Vec<Inference> = self
+                .outcomes
+                .values()
+                .flat_map(|o| o.recorded.iter().cloned())
+                .collect();
+            let n4 = late.len();
+            for (id, member) in self.members.iter().enumerate() {
+                if let Some(Some((verdict, why))) = self.step5_output(AddrId(id as u32)) {
+                    late.push(Inference {
+                        addr: member.addr,
+                        ixp: member.ixp,
+                        asn: member.asn,
+                        verdict: *verdict,
+                        step: Step::PrivateLinks,
+                        evidence: why.clone(),
                     });
                 }
             }
+            let n5 = late.len() - n4;
+            late.sort_unstable_by_key(|inf| inf.addr);
+            self.result = Arc::new(PipelineResult {
+                inferences: merge_by_addr(self.ledger123.all(), late),
+                unclassified: self
+                    .rows
+                    .iter()
+                    .filter(|&&id| matches!(self.step5_output(id), Some(None)))
+                    .map(|id| self.members[id.0 as usize].clone())
+                    .collect(),
+                observations: self.observations.clone(),
+                step3_details: self.step3.values().map(|(d, _)| *d).collect(),
+                multi_ixp_routers: self
+                    .outcomes
+                    .values()
+                    .flat_map(|o| o.findings.iter().cloned())
+                    .collect(),
+                counts: StepCounts {
+                    baseline: 0,
+                    port_capacity: self.ledger1.len(),
+                    rtt_colo: self.n3,
+                    multi_ixp: n4,
+                    private_links: n5,
+                },
+            });
         }
-        self.result = PipelineResult {
-            inferences: ledger.all().collect(),
-            unclassified,
-            observations: self.observations.clone(),
-            step3_details: self.step3.values().map(|(d, _)| *d).collect(),
-            multi_ixp_routers: self
-                .outcomes
-                .values()
-                .flat_map(|o| o.findings.iter().cloned())
-                .collect(),
-            counts: StepCounts {
-                baseline: 0,
-                port_capacity: n1,
-                rtt_colo: n3,
-                multi_ixp: n4,
-                private_links: n5,
-            },
-        };
-        self.last_dirty = dirty;
         self.last_publish = publish;
     }
+}
+
+/// Merges the address-ordered `ledger` records with `late` records
+/// (address-ordered, at addresses the ledger does not hold).
+fn merge_by_addr(ledger: impl Iterator<Item = Inference>, late: Vec<Inference>) -> Vec<Inference> {
+    let mut out = Vec::with_capacity(ledger.size_hint().0 + late.len());
+    let mut late = late.into_iter().peekable();
+    for inf in ledger {
+        while let Some(l) = late.next_if(|l| l.addr < inf.addr) {
+            out.push(l);
+        }
+        out.push(inf);
+    }
+    out.extend(late);
+    out
 }
 
 /// Set-unions a freshly scanned chunk into the retained step-4 evidence,
@@ -998,5 +1130,144 @@ mod tests {
         assert_eq!(dirty.step1_ixps, totals.ixps);
         assert_eq!(dirty.step5_ixps, totals.ixps);
         assert_eq!(dirty.corpus_traces, totals.corpus_traces);
+    }
+
+    /// Every cache the pipeline keeps across epochs, checked against a
+    /// from-scratch rebuild over the accumulated input.
+    fn assert_caches_are_exact(pipe: &IncrementalPipeline<'_>, label: &str) {
+        let input = &pipe.input;
+        let cfg = &pipe.cfg;
+        let mut ledger = Ledger::new();
+        let n1 = step1::apply(input, &mut ledger);
+        let details = step3::apply_with_rounding(
+            input,
+            &step2::consolidate(input),
+            &cfg.speed,
+            &mut ledger,
+            cfg.honor_lg_rounding,
+        );
+        assert_eq!(
+            pipe.ledger123.all().collect::<Vec<_>>(),
+            ledger.all().collect::<Vec<_>>(),
+            "{label}: ledger123"
+        );
+        assert_eq!(
+            (pipe.ledger1.len(), pipe.n3),
+            (n1, ledger.len() - n1),
+            "{label}: step counts"
+        );
+        let rebuilt = Step3Index::build(&input.interns, details.iter().copied());
+        let kept = Step3Index::over(&input.interns, &pipe.step3_rows);
+        for &addr in input.interns.addrs.keys() {
+            assert_eq!(kept.get(addr), rebuilt.get(addr), "{label}: row of {addr}");
+        }
+        step4::apply(input, &rebuilt, &cfg.alias, &mut ledger);
+        let ev5 = step5::harvest(input);
+        for (id, m) in pipe.members.iter().enumerate() {
+            assert_eq!(
+                pipe.unknown[id],
+                !ledger.known(m.addr),
+                "{label}: unknown set at {}",
+                m.addr
+            );
+            if pipe.unknown[id] {
+                let now = step5::classify_interface(input, &ev5, &cfg.alias, m.ixp, m.addr, m.asn);
+                assert_eq!(pipe.votes[id], Some(now), "{label}: vote of {}", m.addr);
+            }
+        }
+    }
+
+    #[test]
+    fn retained_caches_equal_their_rebuilds() {
+        for seed in [109, 31] {
+            let world = WorldConfig::small(seed).generate();
+            let full = InferenceInput::assemble(&world, seed);
+            let (_, campaign_cfg, corpus_cfg) = crate::input::default_configs(seed);
+            let camp = campaign_batches(full.world, &full.vps, campaign_cfg, 8);
+            let corp = corpus_batches(full.world, corpus_cfg, 8);
+            // Odd epochs arrive as a campaign-only then a corpus-only
+            // delta; an empty delta and a same-registry revision are
+            // spliced in after epochs 2 and 5.
+            let deltas = || {
+                let mut out = Vec::new();
+                for (k, (c, t)) in camp.iter().zip(&corp).enumerate() {
+                    if k % 2 == 0 {
+                        out.push(InputDelta::campaign(c.clone()).with_corpus(t.clone()));
+                    } else {
+                        out.push(InputDelta::campaign(c.clone()));
+                        out.push(InputDelta::corpus(t.clone()));
+                    }
+                    match k {
+                        2 => out.push(InputDelta::default()),
+                        5 => out.push(InputDelta::registry(
+                            full.observed.clone(),
+                            full.table1.clone(),
+                        )),
+                        _ => {}
+                    }
+                }
+                out
+            };
+            let mut pipes: Vec<IncrementalPipeline<'_>> = [1, 2]
+                .iter()
+                .map(|&t| {
+                    IncrementalPipeline::new(
+                        InferenceInput::assemble_base(&world, seed),
+                        &PipelineConfig::default(),
+                        &ParallelConfig::new(t),
+                    )
+                })
+                .collect();
+            let n_deltas = deltas().len();
+            let mut streams: Vec<_> = pipes.iter().map(|_| deltas().into_iter()).collect();
+            let (mut corpus_only, mut voted_on_corpus_only) = (0, 0);
+            for e in 0..n_deltas {
+                for (pipe, stream) in pipes.iter_mut().zip(&mut streams) {
+                    let delta = stream.next().expect("one stream per pipeline");
+                    let is_corpus_only = delta.campaign.is_none()
+                        && delta.registry.is_none()
+                        && !delta.corpus.is_empty();
+                    let corpus_start = pipe.input.corpus.len();
+                    let unknown_before = pipe.unknown.clone();
+                    pipe.apply(delta);
+                    let label = format!("seed {seed}, {} threads, delta {e}", pipe.par.threads);
+                    assert_caches_are_exact(pipe, &label);
+                    if !is_corpus_only {
+                        continue;
+                    }
+                    corpus_only += 1;
+                    voted_on_corpus_only += pipe.voted.len();
+                    let grown = step5::harvest_chunk(
+                        &pipe.input,
+                        &pipe.evidence.data,
+                        corpus_start..pipe.input.corpus.len(),
+                    );
+                    let grown_ifaces: BTreeSet<Ipv4Addr> = grown
+                        .asns()
+                        .filter_map(|asn| pipe.evidence.lan_ifaces.get(&asn))
+                        .flatten()
+                        .map(|&(addr, _)| addr)
+                        .collect();
+                    for id in &pipe.voted {
+                        let i = id.0 as usize;
+                        let newly_unknown = pipe.unknown[i] && !unknown_before[i];
+                        assert!(
+                            newly_unknown || grown_ifaces.contains(&pipe.members[i].addr),
+                            "{label}: re-voted {} without new witnesses or a new unknown",
+                            pipe.members[i].addr
+                        );
+                    }
+                }
+            }
+            assert!(corpus_only >= 8, "seed {seed}: too few corpus-only epochs");
+            assert!(
+                voted_on_corpus_only > 0,
+                "seed {seed}: no corpus-only epoch re-voted anything"
+            );
+            let one_shot = run_pipeline(&full, &PipelineConfig::default());
+            for pipe in &pipes {
+                assert_eq!(*pipe.result(), one_shot, "seed {seed}: final result");
+            }
+        }
     }
 }

@@ -378,10 +378,11 @@ struct RegistryPart {
 /// vectors are position-dependent (one changed record shifts every
 /// index after it), so this partition cannot be split further — it is
 /// rebuilt whenever the epoch changed *any* merged record and shared
-/// wholesale when the epoch changed nothing.
+/// wholesale when the epoch changed nothing. The result itself is the
+/// pipeline's own allocation, shared rather than copied at publish.
 #[derive(Debug, PartialEq)]
 struct CorePart {
-    result: PipelineResult,
+    result: Arc<PipelineResult>,
     /// `(addr, index into result.unclassified)`, sorted by address (the
     /// residual scan emits (ixp, addr) order, so it needs this index;
     /// `inferences`/`step3_details` do not).
@@ -391,7 +392,7 @@ struct CorePart {
 }
 
 impl CorePart {
-    fn build(result: PipelineResult) -> CorePart {
+    fn build(result: Arc<PipelineResult>) -> CorePart {
         // The binary-searchable result vectors must be address-sorted;
         // both come out of address-ordered ledger/consolidation merges.
         debug_assert!(result.inferences.windows(2).all(|w| w[0].addr < w[1].addr));
@@ -672,6 +673,16 @@ impl Snapshot {
         result: PipelineResult,
         par: &ParallelConfig,
     ) -> Snapshot {
+        Snapshot::build_full_shared(epoch, input, Arc::new(result), par)
+    }
+
+    /// [`Snapshot::build_full`] over a result the caller keeps sharing.
+    fn build_full_shared(
+        epoch: u64,
+        input: &InferenceInput<'_>,
+        result: Arc<PipelineResult>,
+        par: &ParallelConfig,
+    ) -> Snapshot {
         let threads = par.threads.max(1);
         let interns = input.interns.clone();
         let n_asns = interns.asns.len();
@@ -718,7 +729,7 @@ impl Snapshot {
     pub fn build_delta(
         epoch: u64,
         input: &InferenceInput<'_>,
-        result: &PipelineResult,
+        result: &Arc<PipelineResult>,
         prev: &Snapshot,
         publish: &PublishDirty,
         par: &ParallelConfig,
@@ -734,7 +745,7 @@ impl Snapshot {
             };
         }
         if publish.full {
-            return Snapshot::build_full(epoch, input, result.clone(), par);
+            return Snapshot::build_full_shared(epoch, input, Arc::clone(result), par);
         }
         let threads = par.threads.max(1);
         let registry = Arc::clone(&prev.registry);
@@ -775,7 +786,7 @@ impl Snapshot {
         } else {
             Arc::new(contributions_of(&ixps))
         };
-        let core = Arc::new(CorePart::build(result.clone()));
+        let core = Arc::new(CorePart::build(Arc::clone(result)));
         Snapshot {
             epoch,
             registry,
@@ -1269,10 +1280,10 @@ impl<'w> PeeringService<'w> {
     /// initial snapshot.
     pub fn new(pipeline: IncrementalPipeline<'w>) -> Self {
         let par = *pipeline.parallel();
-        let snapshot = Arc::new(Snapshot::build_full(
+        let snapshot = Arc::new(Snapshot::build_full_shared(
             pipeline.epochs_applied() as u64,
             pipeline.input(),
-            pipeline.result().clone(),
+            Arc::clone(pipeline.shared_result()),
             &par,
         ));
         PeeringService {
@@ -1317,7 +1328,7 @@ impl<'w> PeeringService<'w> {
         let snapshot = Arc::new(Snapshot::build_delta(
             epoch,
             pipe.input(),
-            pipe.result(),
+            pipe.shared_result(),
             &prev,
             &publish,
             &par,

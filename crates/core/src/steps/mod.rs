@@ -151,6 +151,38 @@ impl Ledger {
         if self.slot_of(inf.addr).is_some() {
             return false;
         }
+        self.push(inf);
+        if self.order.len() - self.sorted_len >= TAIL_MAX {
+            self.normalize();
+        }
+        true
+    }
+
+    /// Records a batch of inferences with pairwise distinct addresses,
+    /// skipping those already known: the ledger [`Ledger::record`] on
+    /// each in turn would build, with one normalization instead of one
+    /// per `TAIL_MAX` inserts. Returns how many were recorded.
+    pub fn record_distinct(&mut self, infs: impl IntoIterator<Item = Inference>) -> usize {
+        let fresh: Vec<Inference> = infs
+            .into_iter()
+            .filter(|inf| !self.known(inf.addr))
+            .collect();
+        let recorded = fresh.len();
+        for inf in fresh {
+            self.push(inf);
+        }
+        self.normalize();
+        debug_assert!(
+            self.order
+                .windows(2)
+                .all(|w| self.addrs[w[0] as usize] < self.addrs[w[1] as usize]),
+            "record_distinct got a repeated address"
+        );
+        recorded
+    }
+
+    /// Appends one record to every column and both index tails.
+    fn push(&mut self, inf: Inference) {
         let slot = self.addrs.len() as u32;
         self.addrs.push(inf.addr);
         self.ixps.push(inf.ixp);
@@ -160,10 +192,6 @@ impl Ledger {
         self.evidence.push(inf.evidence);
         self.order.push(slot);
         self.by_asn.push((inf.asn, slot));
-        if self.order.len() - self.sorted_len >= TAIL_MAX {
-            self.normalize();
-        }
-        true
     }
 
     /// Merges another ledger into this one, preserving the
@@ -216,6 +244,12 @@ impl Ledger {
         self.sorted_order()
             .into_iter()
             .map(move |s| self.inference_at(s))
+    }
+
+    /// The recorded addresses in insertion order, without materializing
+    /// any inference.
+    pub fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.addrs.iter().copied()
     }
 
     /// Number of inferences.
@@ -333,6 +367,36 @@ mod tests {
             .map(|i| (i.ixp, i.verdict))
             .collect();
         assert_eq!(ledger.verdicts_of_asn(Asn::new(1)), scan);
+    }
+
+    #[test]
+    fn record_distinct_matches_one_record_per_inference() {
+        let mut one_by_one = Ledger::new();
+        one_by_one.record(inf("185.0.0.40", Verdict::Local));
+        let mut batched = one_by_one.clone();
+        // Enough inserts to cross several normalizations one by one; one
+        // address collides with the existing record and must lose.
+        let batch: Vec<Inference> = (0..TAIL_MAX * 3)
+            .map(|k| {
+                let addr = format!("185.0.{}.{}", k % 7, 40 + k / 7);
+                inf(&addr, Verdict::Remote)
+            })
+            .collect();
+        let taken = batch
+            .iter()
+            .filter(|i| one_by_one.record((*i).clone()))
+            .count();
+        assert_eq!(batched.record_distinct(batch), taken);
+        assert_eq!(taken, TAIL_MAX * 3 - 1, "the colliding address lost");
+        assert_eq!(
+            batched.all().collect::<Vec<_>>(),
+            one_by_one.all().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            batched.verdicts_of_asn(Asn::new(1)),
+            one_by_one.verdicts_of_asn(Asn::new(1))
+        );
+        assert_eq!(batched.len(), one_by_one.len());
     }
 
     #[test]

@@ -28,6 +28,7 @@ use opeer_alias::{resolve, AliasConfig};
 use opeer_net::Asn;
 use opeer_traix::{member_ixp_pairs, IxpData};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -40,9 +41,13 @@ use std::net::Ipv4Addr;
 /// interfaces — always interned — so a detail for a non-interned
 /// address (never produced by the campaign emitters) is unreachable
 /// and dropped.
+///
+/// The rows are owned when built here, or borrowed from a caller that
+/// keeps them across runs ([`Step3Index::over`]): the incremental
+/// pipeline patches only the rows of re-evaluated targets.
 pub struct Step3Index<'a> {
     interns: &'a InternTables,
-    rows: Vec<Option<Step3Detail>>,
+    rows: Cow<'a, [Option<Step3Detail>]>,
 }
 
 impl<'a> Step3Index<'a> {
@@ -53,11 +58,30 @@ impl<'a> Step3Index<'a> {
     ) -> Step3Index<'a> {
         let mut rows = vec![None; interns.addrs.len()];
         for d in details {
-            if let Some(id) = interns.addr_id(d.addr) {
-                rows[id.0 as usize] = Some(d);
-            }
+            Self::patch(interns, &mut rows, d);
         }
-        Step3Index { interns, rows }
+        Step3Index {
+            interns,
+            rows: Cow::Owned(rows),
+        }
+    }
+
+    /// A view over rows kept by the caller, dense by [`crate::intern::AddrId`]
+    /// of `interns`.
+    pub fn over(interns: &'a InternTables, rows: &'a [Option<Step3Detail>]) -> Step3Index<'a> {
+        debug_assert_eq!(rows.len(), interns.addrs.len());
+        Step3Index {
+            interns,
+            rows: Cow::Borrowed(rows),
+        }
+    }
+
+    /// Writes one detail into its row of caller-kept `rows` — the
+    /// single-row step of [`Step3Index::build`].
+    pub fn patch(interns: &InternTables, rows: &mut [Option<Step3Detail>], detail: Step3Detail) {
+        if let Some(id) = interns.addr_id(detail.addr) {
+            rows[id.0 as usize] = Some(detail);
+        }
     }
 
     /// The step-3 detail evaluated for one address, if any.

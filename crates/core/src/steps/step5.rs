@@ -98,7 +98,10 @@ pub fn harvest(input: &InferenceInput<'_>) -> PrivateEvidence {
 }
 
 /// Classifies one member interface through the facility vote. Returns
-/// `None` when the evidence is insufficient.
+/// `None` when the evidence is insufficient. This is the per-interface
+/// unit the incremental pipeline shards and caches: it reads only the
+/// interface, the witness list of its own ASN `asn`, and world,
+/// registry and alias data, never the ledger.
 pub fn classify_interface(
     input: &InferenceInput<'_>,
     evidence: &PrivateEvidence,
@@ -194,11 +197,9 @@ pub fn classify_interface(
 }
 
 /// Proposes step-5 inferences for a contiguous range of observed IXP
-/// indices, against a frozen view of the ledger — the per-shard task of
-/// the parallel engine. `classify_interface` never reads the ledger and
-/// every LAN address is visited exactly once, so the known-check only
-/// depends on steps 1–4 state: proposing per shard and committing in
-/// shard order is identical to one sequential pass.
+/// indices, against a frozen view of the ledger. `classify_interface`
+/// never reads the ledger and every LAN address is visited exactly
+/// once, so the known-check only depends on steps 1–4 state.
 pub fn propose_for_ixps(
     input: &InferenceInput<'_>,
     evidence: &PrivateEvidence,
