@@ -22,7 +22,7 @@ use opeer_net::{Asn, Ipv4Prefix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Distance classes for remote peers, with the paper-implied mixture
@@ -296,7 +296,9 @@ struct Gen {
     /// Next member slot on each IXP LAN.
     lan_next_slot: Vec<u32>,
     /// Reseller → IXPs served (with the reseller's port facility there).
-    reseller_ixps: HashMap<AsId, HashMap<IxpId, FacilityId>>,
+    /// Ordered by reseller so `pick_reseller` sees the same candidate
+    /// list in every process.
+    reseller_ixps: BTreeMap<AsId, HashMap<IxpId, FacilityId>>,
     /// City-pair distances, km (symmetric, indexed by catalog order).
     city_dist: Vec<Vec<f64>>,
 }
@@ -325,7 +327,7 @@ impl Gen {
             premises_router: HashMap::new(),
             as_next_host: Vec::new(),
             lan_next_slot: Vec::new(),
-            reseller_ixps: HashMap::new(),
+            reseller_ixps: BTreeMap::new(),
             city_dist: Vec::new(),
         }
     }
