@@ -1492,9 +1492,69 @@ fn poisson_like(rng: &mut StdRng, mean: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::stable_hash;
 
     fn small_world() -> World {
         WorldConfig::small(7).generate()
+    }
+
+    /// Digest of the whole ground truth: the `Debug` text of every public
+    /// `Vec` field, then the observation month and the seed. Any change
+    /// to what the generator draws, or in which order, moves it.
+    fn world_digest(w: &World) -> u64 {
+        fn text_digest(text: String) -> u64 {
+            let mut words = vec![text.len() as u64];
+            words.extend(text.as_bytes().chunks(8).map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            }));
+            stable_hash(&words)
+        }
+        stable_hash(&[
+            text_digest(format!("{:?}", w.cities)),
+            text_digest(format!("{:?}", w.facilities)),
+            text_digest(format!("{:?}", w.ases)),
+            text_digest(format!("{:?}", w.ixps)),
+            text_digest(format!("{:?}", w.routers)),
+            text_digest(format!("{:?}", w.interfaces)),
+            text_digest(format!("{:?}", w.memberships)),
+            text_digest(format!("{:?}", w.private_links)),
+            text_digest(format!("{:?}", w.transit_rels)),
+            u64::from(w.observation_month),
+            w.seed,
+        ])
+    }
+
+    /// `(ASes, memberships, private links, world digest)`.
+    fn fingerprint(w: &World) -> (usize, usize, usize, u64) {
+        (
+            w.ases.len(),
+            w.memberships.len(),
+            w.private_links.len(),
+            world_digest(w),
+        )
+    }
+
+    /// The sweep fleet's `tiny` base with every generator knob family off
+    /// its default: fewer resold ports, a lean port market and remote
+    /// members drawn closer to the IXP.
+    fn knob_world() -> WorldConfig {
+        WorldConfig {
+            scale: 0.02,
+            n_small_ixps: 6,
+            n_background_ases: 50,
+            n_switchers: 2,
+            p_reseller_given_remote: 0.3,
+            port_capacity: PortCapacityDist::lean(),
+            remote_mix: RemoteMix {
+                same_metro: 0.40,
+                regional: 0.35,
+                continental: 0.15,
+                intercontinental: 0.10,
+            },
+            ..WorldConfig::small(1)
+        }
     }
 
     #[test]
@@ -1502,9 +1562,56 @@ mod tests {
         let a = WorldConfig::small(42).generate();
         let b = WorldConfig::small(42).generate();
         assert_eq!(a.summary(), b.summary());
-        assert_eq!(a.memberships.len(), b.memberships.len());
-        for (x, y) in a.interfaces.iter().zip(&b.interfaces) {
-            assert_eq!(x.addr, y.addr);
+        assert_eq!(world_digest(&a), world_digest(&b));
+    }
+
+    /// Pins the world bytes. Any change to the generator's draws or their
+    /// order moves these, and with them every downstream pin (corpus and
+    /// RIB digests, the determinism snapshot).
+    #[test]
+    fn world_digest_is_pinned() {
+        for (name, cfg, expected) in [
+            (
+                "small(7)",
+                WorldConfig::small(7),
+                (630, 716, 587, 119202737411854606),
+            ),
+            (
+                "small(42)",
+                WorldConfig::small(42),
+                (613, 693, 583, 16877693053217825444),
+            ),
+            (
+                "knob world",
+                knob_world(),
+                (268, 290, 228, 15601787068232751181),
+            ),
+        ] {
+            assert_eq!(fingerprint(&cfg.generate()), expected, "world {name} moved");
+        }
+    }
+
+    /// The pin at full scale, with the consistency check. Slow in a debug
+    /// build; CI runs it in release.
+    #[test]
+    #[ignore]
+    fn world_digest_is_pinned_at_scale() {
+        for (name, cfg, expected) in [
+            (
+                "large(1)",
+                WorldConfig::large(1),
+                (11584, 15447, 15337, 7764907228712746373),
+            ),
+            (
+                "paper(42)",
+                WorldConfig::paper(42),
+                (14640, 20006, 20872, 7487306122791961246),
+            ),
+        ] {
+            let w = cfg.generate();
+            let problems = w.check_consistency();
+            assert!(problems.is_empty(), "world {name}: {problems:?}");
+            assert_eq!(fingerprint(&w), expected, "world {name} moved");
         }
     }
 
