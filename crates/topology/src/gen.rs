@@ -22,7 +22,7 @@ use opeer_net::{Asn, Ipv4Prefix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// Distance classes for remote peers, with the paper-implied mixture
@@ -295,10 +295,17 @@ struct Gen {
     as_next_host: Vec<u32>,
     /// Next member slot on each IXP LAN.
     lan_next_slot: Vec<u32>,
-    /// Reseller → IXPs served (with the reseller's port facility there).
-    /// Ordered by reseller so `pick_reseller` sees the same candidate
-    /// list in every process.
-    reseller_ixps: BTreeMap<AsId, HashMap<IxpId, FacilityId>>,
+    /// Whether each IXP has a site outside its anchor's metro.
+    ixp_wide_area: Vec<bool>,
+    /// Resellers serving each IXP, with their port facility there, in
+    /// ascending reseller order.
+    ixp_resellers: Vec<Vec<(AsId, FacilityId)>>,
+    /// Per AS, the IXP whose membership fill last added it.
+    filled_into: Vec<Option<IxpId>>,
+    /// ASes other than resellers, per home city, ascending by `AsId`.
+    city_ases: Vec<Vec<AsId>>,
+    /// `(min(a, b), max(a, b), facility)` of every private link so far.
+    private_link_keys: HashSet<(AsId, AsId, FacilityId)>,
     /// City-pair distances, km (symmetric, indexed by catalog order).
     city_dist: Vec<Vec<f64>>,
 }
@@ -327,7 +334,11 @@ impl Gen {
             premises_router: HashMap::new(),
             as_next_host: Vec::new(),
             lan_next_slot: Vec::new(),
-            reseller_ixps: BTreeMap::new(),
+            ixp_wide_area: Vec::new(),
+            ixp_resellers: Vec::new(),
+            filled_into: Vec::new(),
+            city_ases: Vec::new(),
+            private_link_keys: HashSet::new(),
             city_dist: Vec::new(),
         }
     }
@@ -364,6 +375,7 @@ impl Gen {
             });
         }
         self.city_facilities = vec![Vec::new(); self.w.cities.len()];
+        self.city_ases = vec![Vec::new(); self.w.cities.len()];
         // Pre-compute city-pair distances.
         let n = self.w.cities.len();
         self.city_dist = vec![vec![0.0; n]; n];
@@ -533,6 +545,8 @@ impl Gen {
             open_peering: open,
         });
         self.as_next_host.push(1);
+        self.filled_into.push(None);
+        self.city_ases[home.index()].push(AsId::from_index(idx));
         AsId::from_index(idx)
     }
 
@@ -674,6 +688,11 @@ impl Gen {
         let lan = lan_block(idx);
         let anchor = facilities[0];
         let anchor_city = self.w.facilities[anchor.index()].city;
+        let anchor_point = self.w.facility_point(anchor);
+        self.ixp_wide_area.push(facilities.iter().any(|&f| {
+            self.w.facility_point(f).distance_km(&anchor_point)
+                > opeer_geo::metro::DEFAULT_METRO_THRESHOLD_KM
+        }));
         // NOC AS operating the route server.
         let noc = self.new_as(&format!("{name} NOC"), AsKind::Enterprise, anchor_city);
         self.w.ases[noc.index()].facilities.push(anchor);
@@ -714,6 +733,10 @@ impl Gen {
             }
         }
         // Everyone else buys from regionals in-region (or a global).
+        let mut regionals_in: HashMap<Region, Vec<AsId>> = HashMap::new();
+        for &r in &regionals {
+            regionals_in.entry(self.home_region(r)).or_default().push(r);
+        }
         let n_as = self.w.ases.len();
         for i in 0..n_as {
             let kind = self.w.ases[i].kind;
@@ -721,21 +744,12 @@ impl Gen {
                 continue;
             }
             let asid = AsId::from_index(i);
-            let my_region = self.w.cities[self.w.ases[i].home_city.index()].region;
-            let candidates: Vec<AsId> = regionals
-                .iter()
-                .copied()
-                .filter(|r| {
-                    self.w.cities[self.w.ases[r.index()].home_city.index()].region == my_region
-                })
-                .collect();
             let n_prov = self.rng.gen_range(1..=2);
             let mut picked = 0;
-            let mut pool = if candidates.is_empty() {
-                regionals.clone()
-            } else {
-                candidates
-            };
+            let mut pool = regionals_in
+                .get(&self.home_region(asid))
+                .unwrap_or(&regionals)
+                .clone();
             pool.shuffle(&mut self.rng);
             for &p in pool.iter() {
                 if picked == n_prov {
@@ -749,6 +763,10 @@ impl Gen {
                 self.w.transit_rels.push((g, asid));
             }
         }
+    }
+
+    fn home_region(&self, asid: AsId) -> Region {
+        self.w.cities[self.w.ases[asid.index()].home_city.index()].region
     }
 
     fn as_ids_of_kind(&self, kind: AsKind) -> Vec<AsId> {
@@ -770,22 +788,25 @@ impl Gen {
             .filter(|&i| self.w.ixps[i].allows_resellers)
             .map(IxpId::from_index)
             .collect();
+        self.ixp_resellers = vec![Vec::new(); self.w.ixps.len()];
+        // Carriers come in ascending order, so every IXP's reseller list
+        // does too.
         for &carrier in carriers.iter().take(reseller_count) {
             self.w.ases[carrier.index()].is_reseller = true;
+            let home = self.w.ases[carrier.index()].home_city;
+            self.city_ases[home.index()].retain(|&a| a != carrier);
             let n_served = self.rng.gen_range(3..=15).min(reseller_friendly.len());
             let mut served = reseller_friendly.clone();
             served.shuffle(&mut self.rng);
-            let mut map = HashMap::new();
             for &ixp in served.iter().take(n_served) {
-                let facs = self.w.ixps[ixp.index()].facilities.clone();
+                let facs = &self.w.ixps[ixp.index()].facilities;
                 let port_fac = *facs.choose(&mut self.rng).expect("IXP has facilities");
                 // The reseller is colocated at its port facility.
                 if !self.w.ases[carrier.index()].facilities.contains(&port_fac) {
                     self.w.ases[carrier.index()].facilities.push(port_fac);
                 }
-                map.insert(ixp, port_fac);
+                self.ixp_resellers[ixp.index()].push((carrier, port_fac));
             }
-            self.reseller_ixps.insert(carrier, map);
         }
     }
 
@@ -814,36 +835,33 @@ impl Gen {
     }
 
     fn fill_ixp(&mut self, ixp: IxpId, target: usize, remote_fraction: f64) {
-        let mut members_here: Vec<AsId> = Vec::new();
         for _ in 0..target {
             let remote = self.rng.gen_bool(remote_fraction);
             let m = if remote {
-                self.add_remote_member(ixp, &members_here)
+                self.add_remote_member(ixp)
             } else {
-                self.add_local_member(ixp, &members_here)
+                self.add_local_member(ixp)
             };
             if let Some(asid) = m {
-                members_here.push(asid);
+                self.filled_into[asid.index()] = Some(ixp);
             }
         }
     }
 
+    /// Whether the current fill of `ixp` already added `asid`.
+    fn already_member(&self, asid: AsId, ixp: IxpId) -> bool {
+        self.filled_into[asid.index()] == Some(ixp)
+    }
+
     /// Creates a local membership: member router patched in an IXP facility.
-    fn add_local_member(&mut self, ixp: IxpId, exclude: &[AsId]) -> Option<AsId> {
-        let facs = self.w.ixps[ixp.index()].facilities.clone();
-        let anchor_city = self.w.facilities[self.w.ixps[ixp.index()].anchor_facility.index()].city;
+    fn add_local_member(&mut self, ixp: IxpId) -> Option<AsId> {
+        let facs = &self.w.ixps[ixp.index()].facilities;
         // Metro IXPs concentrate locals at the anchor site; the whole
         // point of a wide-area fabric (NL-IX, NET-IX, §4.2) is members
         // patching in at whichever distant site is nearest to them, so
         // there locals spread uniformly — this is what defeats plain
         // RTT thresholds.
-        let wide_area = facs.iter().any(|&f| {
-            self.w
-                .facility_point(f)
-                .distance_km(&self.w.facility_point(facs[0]))
-                > opeer_geo::metro::DEFAULT_METRO_THRESHOLD_KM
-        });
-        let facility = if !wide_area && self.rng.gen_bool(0.75) {
+        let facility = if !self.ixp_wide_area[ixp.index()] && self.rng.gen_bool(0.75) {
             facs[0]
         } else {
             *facs.choose(&mut self.rng).expect("IXP has facilities")
@@ -853,13 +871,12 @@ impl Gen {
         // site's city, not the anchor's).
         let member_city = self.w.facilities[facility.index()].city;
         let member = if self.rng.gen_bool(0.45) {
-            self.pick_as_near(member_city, 0.0, 300.0, exclude)
+            self.pick_as_near(member_city, 0.0, 300.0, ixp)
                 .unwrap_or_else(|| self.mint_member_as(member_city))
         } else {
             self.mint_member_as(member_city)
         };
-        let _ = anchor_city;
-        if exclude.contains(&member) {
+        if self.already_member(member, ixp) {
             return None;
         }
         // Ground truth: the member is present at the chosen facility.
@@ -880,7 +897,7 @@ impl Gen {
     }
 
     /// Creates a remote membership per the distance mixture.
-    fn add_remote_member(&mut self, ixp: IxpId, exclude: &[AsId]) -> Option<AsId> {
+    fn add_remote_member(&mut self, ixp: IxpId) -> Option<AsId> {
         let anchor = self.w.ixps[ixp.index()].anchor_facility;
         let anchor_city = self.w.facilities[anchor.index()].city;
         let mix = self.cfg.remote_mix;
@@ -895,7 +912,7 @@ impl Gen {
             (3500.0, 20000.0)
         };
         let member = if self.rng.gen_bool(0.5) {
-            self.pick_as_near(anchor_city, lo_km, hi_km, exclude)
+            self.pick_as_near(anchor_city, lo_km, hi_km, ixp)
         } else {
             None
         }
@@ -905,7 +922,7 @@ impl Gen {
                 .unwrap_or(anchor_city);
             self.mint_member_as(city)
         });
-        if exclude.contains(&member) {
+        if self.already_member(member, ixp) {
             return None;
         }
 
@@ -982,12 +999,9 @@ impl Gen {
     }
 
     fn pick_reseller(&mut self, ixp: IxpId) -> Option<(AsId, FacilityId)> {
-        let serving: Vec<(AsId, FacilityId)> = self
-            .reseller_ixps
-            .iter()
-            .filter_map(|(&res, map)| map.get(&ixp).map(|&f| (res, f)))
-            .collect();
-        serving.choose(&mut self.rng).copied()
+        self.ixp_resellers[ixp.index()]
+            .choose(&mut self.rng)
+            .copied()
     }
 
     fn local_port(&mut self, _ixp: IxpId) -> (u32, PortKind) {
@@ -1018,26 +1032,38 @@ impl Gen {
         self.new_as(&format!("Member{idx}"), kind, city)
     }
 
+    /// Picks an AS homed `lo_km..=hi_km` from `from_city` that is neither a
+    /// reseller nor already added by the current fill of `ixp`. The
+    /// candidates are in ascending `AsId` order, ASes minted during the
+    /// fill included.
     fn pick_as_near(
         &mut self,
         from_city: CityId,
         lo_km: f64,
         hi_km: f64,
-        exclude: &[AsId],
+        ixp: IxpId,
     ) -> Option<AsId> {
-        let from = from_city.index();
-        let candidates: Vec<AsId> = (0..self.w.ases.len())
-            .filter(|&i| {
-                let a = &self.w.ases[i];
-                if matches!(a.kind, AsKind::Carrier) && a.is_reseller {
-                    return false;
+        // Mark the candidates of every in-band city on a bitset over AS
+        // ids, then read them back in ascending order.
+        let dist = &self.city_dist[from_city.index()];
+        let mut marks = vec![0u64; self.w.ases.len().div_ceil(64)];
+        for (city, ases) in self.city_ases.iter().enumerate() {
+            if dist[city] >= lo_km && dist[city] <= hi_km {
+                for &a in ases {
+                    if !self.already_member(a, ixp) {
+                        marks[a.index() / 64] |= 1 << (a.index() % 64);
+                    }
                 }
-                let d = self.city_dist[from][a.home_city.index()];
-                d >= lo_km && d <= hi_km
-            })
-            .map(AsId::from_index)
-            .filter(|a| !exclude.contains(a))
-            .collect();
+            }
+        }
+        let mut candidates: Vec<AsId> = Vec::new();
+        for (i, &word) in marks.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                candidates.push(AsId::from_index(i * 64 + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
         candidates.choose(&mut self.rng).copied()
     }
 
@@ -1192,29 +1218,38 @@ impl Gen {
     fn make_private_links(&mut self) {
         // PNIs between colocated members at IXP facilities (feeds Step 5),
         // plus the tier-1 clique.
-        let n_members = self.w.memberships.len();
-        for mi in 0..n_members {
-            let m = self.w.memberships[mi].clone();
-            if !matches!(m.truth, AccessTruth::Local { .. }) {
-                continue;
+        //
+        // Each facility's tenants, ascending by AsId, built once: the PNI
+        // loop cannot change them. `add_local_member` already put the
+        // facility on the member's list and the peer is a tenant by
+        // construction, so `pni_router` never pushes a facility there.
+        let mut tenants: Vec<Vec<AsId>> = vec![Vec::new(); self.w.facilities.len()];
+        for (i, a) in self.w.ases.iter().enumerate() {
+            for f in &a.facilities {
+                tenants[f.index()].push(AsId::from_index(i));
             }
+        }
+        let mut peers = Vec::new();
+        for mi in 0..self.w.memberships.len() {
+            let m = &self.w.memberships[mi];
             let AccessTruth::Local { facility } = m.truth else {
                 continue;
             };
+            let member = m.member;
             let n_pnis = poisson_like(&mut self.rng, self.cfg.mean_pnis_per_local);
+            if n_pnis == 0 {
+                continue;
+            }
+            let here = &tenants[facility.index()];
+            debug_assert!(
+                here.binary_search(&member).is_ok(),
+                "add_local_member put the facility on the member's list"
+            );
+            peers.clear();
+            peers.extend(here.iter().copied().filter(|&a| a != member));
             for _ in 0..n_pnis {
-                let tenants: Vec<AsId> = self
-                    .w
-                    .ases
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, a)| {
-                        AsId::from_index(*i) != m.member && a.facilities.contains(&facility)
-                    })
-                    .map(|(i, _)| AsId::from_index(i))
-                    .collect();
-                if let Some(&peer) = tenants.choose(&mut self.rng) {
-                    self.add_private_link(m.member, peer, facility);
+                if let Some(&peer) = peers.choose(&mut self.rng) {
+                    self.add_private_link(member, peer, facility);
                 }
             }
         }
@@ -1239,11 +1274,9 @@ impl Gen {
 
     fn add_private_link(&mut self, a: AsId, b: AsId, facility: FacilityId) {
         // Skip duplicates.
-        if self
-            .w
-            .private_links
-            .iter()
-            .any(|l| (l.a == a && l.b == b || l.a == b && l.b == a) && l.facility == facility)
+        if !self
+            .private_link_keys
+            .insert((a.min(b), a.max(b), facility))
         {
             return;
         }
@@ -1298,13 +1331,18 @@ impl Gen {
     /// this is precisely the signal that makes facility-vote heuristics
     /// (CFS, §5.2 step 5) work in the wild.
     fn colocate_providers(&mut self) {
+        // Providers of each AS, in `transit_rels` order.
+        let mut providers_of: Vec<Vec<AsId>> = vec![Vec::new(); self.w.ases.len()];
+        for &(p, c) in &self.w.transit_rels {
+            providers_of[c.index()].push(p);
+        }
         let mut additions: Vec<(AsId, FacilityId)> = Vec::new();
         for m in &self.w.memberships {
             let AccessTruth::Local { facility } = m.truth else {
                 continue;
             };
-            for &(p, c) in &self.w.transit_rels {
-                if c == m.member && !self.w.ases[p.index()].facilities.contains(&facility) {
+            for &p in &providers_of[m.member.index()] {
+                if !self.w.ases[p.index()].facilities.contains(&facility) {
                     additions.push((p, facility));
                 }
             }
