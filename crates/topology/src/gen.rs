@@ -214,7 +214,8 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
-    /// Full paper-scale world (~15 k memberships). Takes a few seconds.
+    /// Full paper-scale world (~20 k memberships over the timeline, ~15 k
+    /// ASes). Generation takes ~0.15 s on a 2-vCPU host.
     pub fn paper(seed: u64) -> Self {
         WorldConfig {
             seed,
@@ -236,8 +237,9 @@ impl WorldConfig {
 
     /// A large world for scaling studies: full paper scale on the named
     /// IXPs' member targets, with a trimmed long tail of generated small
-    /// IXPs and background ASes so world *generation* stays a fraction
-    /// of measurement time. Sized for the parallel engine era — both
+    /// IXPs and background ASes. Generation takes ~0.1 s on a 2-vCPU
+    /// host, a fraction of the ~0.6 s two-thread cold build that measures
+    /// it. Sized for the parallel engine era — both
     /// measurement assembly and inference now shard across the worker
     /// pool, so the scaling study runs at the member scale the paper
     /// measured instead of the half-scale world the sequential
@@ -258,8 +260,9 @@ impl WorldConfig {
     /// tail of small IXPs and background ASes. Sized to keep the
     /// per-thread shards of the pipeline phase busy well past 8
     /// workers, so the scaling curve measures the engine rather than
-    /// shard-scheduling overhead. Expensive — minutes of assembly on a
-    /// laptop-class core; the CI bench runs it only on schedule.
+    /// shard-scheduling overhead. Generation takes ~0.5 s on a 2-vCPU
+    /// host. Expensive — minutes of assembly on a laptop-class core; the
+    /// CI bench runs it only on schedule.
     pub fn xlarge(seed: u64) -> Self {
         WorldConfig {
             seed,
