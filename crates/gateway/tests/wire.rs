@@ -21,6 +21,7 @@ use opeer_topology::{World, WorldConfig};
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -464,7 +465,9 @@ fn end_to_end_against_a_streaming_writer() {
     // A gateway serving a *base* (measurement-free) service while a
     // writer streams epoch deltas into it: clients must see the epoch
     // climb monotonically and every response parse, mid-publish
-    // included.
+    // included. A second keep-alive client sends bad requests between
+    // its polls; each must get its mapped status and land in the error
+    // taxonomy.
     let world = small_world();
     let seed = 42;
     let service = PeeringService::build(
@@ -497,6 +500,48 @@ fn end_to_end_against_a_streaming_writer() {
                 std::thread::sleep(Duration::from_millis(20));
                 service_ref.apply(delta);
             }
+        });
+
+        // The second client: between two /healthz polls, an unknown
+        // route (404) and an unparsable query batch (400) on the same
+        // connection, until the final epoch is visible. Returns how many
+        // of each it sent (at least one).
+        let bad_client = scope.spawn(move || {
+            let mut client = ClientConn::connect(addr, Duration::from_secs(5)).expect("connect");
+            let poll = |client: &mut ClientConn| {
+                client
+                    .send("GET", "/healthz", &[], b"")
+                    .expect("send healthz");
+                let health = client.read_response().expect("healthz answers");
+                assert_eq!(health.status, 200);
+                let doc: Value = serde_json::from_slice(&health.body).expect("healthz JSON");
+                doc.get("epoch")
+                    .and_then(Value::as_u64)
+                    .expect("epoch field")
+            };
+            let mut last_epoch = poll(&mut client);
+            let mut sent = 0u64;
+            loop {
+                assert!(sent < 2000, "writer never finished publishing");
+                client.send("GET", "/nope", &[], b"").expect("send");
+                assert_eq!(client.read_response().expect("answers").status, 404);
+                client
+                    .send("POST", "/query", &[], b"{not json")
+                    .expect("send");
+                assert_eq!(client.read_response().expect("answers").status, 400);
+                sent += 1;
+                let epoch = poll(&mut client);
+                assert!(
+                    epoch >= last_epoch,
+                    "second client: epoch went backwards: {last_epoch} -> {epoch}"
+                );
+                last_epoch = epoch;
+                if epoch == total_epochs {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            sent
         });
 
         // The reader: poll /healthz and /query until the final epoch
@@ -560,6 +605,12 @@ fn end_to_end_against_a_streaming_writer() {
                 std::thread::sleep(Duration::from_millis(10));
             }
             writer.join().expect("writer panicked");
+            let sent = bad_client.join().expect("second client panicked");
+            let taxonomy = &metrics.taxonomy;
+            let not_found = taxonomy.not_found.load(Ordering::Relaxed);
+            let bad_json = taxonomy.bad_json.load(Ordering::Relaxed);
+            assert!(not_found >= sent, "{sent} 404s sent, {not_found} booked");
+            assert!(bad_json >= sent, "{sent} 400s sent, {bad_json} booked");
 
             // Post-stream: the served snapshot answers a point query that
             // only exists once measurements arrived.

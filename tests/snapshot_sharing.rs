@@ -7,11 +7,14 @@
 //! whatever was shared, every answer must stay byte-identical to a
 //! from-scratch [`Snapshot::build_full`] at the same epoch.
 
+use opeer::core::input::default_configs;
 use opeer::core::service::SEGMENT_WIDTH;
-use opeer::measure::campaign::CampaignResult;
+use opeer::measure::campaign::{campaign_batches, CampaignResult};
+use opeer::measure::traceroute::corpus_batches;
 use opeer::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Same tiny world as the other equivalence suites: world generation
 /// and assembly dominate each case, not the pipeline.
@@ -245,4 +248,102 @@ fn empty_delta_stream_is_refcount_bumps_all_the_way_down() {
     // And the shared snapshot still answers queries at each epoch tag.
     assert_eq!(retained[3].epoch(), 3);
     assert_eq!(retained[3].result(), first.result());
+}
+
+/// The memory gates of an unbounded epoch stream through a
+/// retention-capped archive: a fill phase of campaign/corpus batches,
+/// then a tail of empty deltas (the steady state such a stream spends
+/// its life in). The cap holds after every apply; once the window holds
+/// only tail snapshots, the deduplicated retained bytes stay flat; every
+/// clean publish shares all partitions with its predecessor and costs at
+/// least 10× less than a from-scratch build; and the final snapshot
+/// answers exactly like a non-shared baseline over the one-shot result.
+#[test]
+fn retention_capped_stream_keeps_a_flat_ceiling_and_cheap_clean_publishes() {
+    const RETAIN: usize = 3;
+    const FILL_BATCHES: usize = 4;
+    const TAIL: usize = 8;
+    let seed = 7;
+    let world = WorldConfig::small(seed).generate();
+    let cfg = PipelineConfig::default();
+    let par = ParallelConfig::new(2);
+    let service = PeeringService::build(InferenceInput::assemble_base(&world, seed), &cfg, &par);
+    let archive = SnapshotArchive::attach_with_retention(&service, Some(RETAIN));
+
+    let (_registry, campaign_cfg, corpus_cfg) = default_configs(seed);
+    let camp = campaign_batches(&world, &service.input().vps, campaign_cfg, FILL_BATCHES);
+    let corp = corpus_batches(&world, corpus_cfg, FILL_BATCHES);
+    let mut deltas = InputDelta::zip_batches(camp, corp);
+    let fill = deltas.len();
+    assert!(fill >= 2, "need a real fill phase, got {fill} batches");
+    deltas.extend((0..TAIL).map(|_| InputDelta::default()));
+
+    let mut prev_ptrs = service.snapshot().partition_ptrs();
+    let mut fill_dirty_ixps = 0;
+    let mut window_bytes = Vec::new();
+    let mut clean_publish_ms = Vec::new();
+    for delta in deltas {
+        let report = archive.apply_reported(delta);
+        let epoch = report.epoch as usize;
+        assert!(
+            archive.len() <= RETAIN,
+            "epoch {epoch}: {} snapshots retained past the cap of {RETAIN}",
+            archive.len()
+        );
+        let ptrs = report.snapshot.partition_ptrs();
+        if epoch <= fill {
+            fill_dirty_ixps += report.publish.ixps.len();
+        } else {
+            assert!(
+                report.publish.is_clean(),
+                "empty delta {epoch} published dirty"
+            );
+        }
+        if report.publish.is_clean() {
+            assert_eq!(ptrs, prev_ptrs, "clean epoch {epoch} rebuilt a partition");
+            clean_publish_ms.push(report.publish_ms);
+        }
+        prev_ptrs = ptrs;
+        // The oldest retained epoch, `epoch + 1 - RETAIN`, is past the
+        // fill: the window holds only tail snapshots.
+        if epoch >= fill + RETAIN {
+            assert_eq!(archive.len(), RETAIN);
+            window_bytes.push(archive.retained_bytes());
+        }
+    }
+    assert!(
+        fill_dirty_ixps > 0,
+        "the fill phase rebuilt no IXP partition"
+    );
+    assert!(window_bytes.len() >= 2, "steady-state window too short");
+    let max = *window_bytes.iter().max().expect("non-empty window") as f64;
+    let min = *window_bytes.iter().min().expect("non-empty window") as f64;
+    assert!(
+        min > 0.0 && max / min <= 1.10,
+        "retained bytes drifted in the steady state: {window_bytes:?}"
+    );
+
+    // Identity: the accumulated input and the served result equal the
+    // one-shot path, and the shared snapshot equals a non-shared build.
+    let latest = archive.latest();
+    let full_input = InferenceInput::assemble(&world, seed);
+    let one_shot = run_pipeline(&full_input, &cfg);
+    assert!(*latest.result() == one_shot, "served result diverged");
+    let input = service.input();
+    assert!(input.content_eq(&full_input), "accumulated input diverged");
+    let result = one_shot.clone();
+    let t = Instant::now();
+    let baseline = Snapshot::build_full(latest.epoch(), &input, result, &par);
+    let full_publish_ms = t.elapsed().as_secs_f64() * 1e3;
+    assert!(
+        latest.content_eq(&baseline),
+        "shared snapshot diverged from the non-shared baseline"
+    );
+
+    // A clean publish is refcount bumps: at least 10× below a full build.
+    let clean_ms = clean_publish_ms.iter().sum::<f64>() / clean_publish_ms.len() as f64;
+    assert!(
+        full_publish_ms >= 10.0 * clean_ms,
+        "clean publish {clean_ms:.6} ms is not 10x below a full build ({full_publish_ms:.3} ms)"
+    );
 }
