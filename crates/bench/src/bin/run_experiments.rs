@@ -1,16 +1,12 @@
 //! Regenerates every table and figure of the paper — or, with
 //! `--bench-pipeline`, runs the engine scaling study, or, with
-//! `--epochs N`, replays the measurements through the incremental
-//! pipeline in N epoch batches, or, with `--archive-months N`, replays
-//! N monthly world revisions through the longitudinal snapshot
-//! archive, or, with `--sweep GRIDSPEC`, runs the multi-world fleet
-//! over a seed × knob × scenario grid, or, with `--compare-bench`,
-//! diffs two scaling reports as a regression gate.
+//! `--sweep GRIDSPEC`, runs the multi-world fleet over a seed × knob ×
+//! scenario grid, or, with `--compare-bench`, diffs two scaling reports
+//! as a regression gate.
 //!
 //! ```text
 //! run_experiments [--scale paper|large|xlarge|small] [--seed N] [--out DIR]
-//!                 [--bench-pipeline] [--bench-samples N] [--epochs N]
-//!                 [--archive-months N]
+//! run_experiments --bench-pipeline [--scale S] [--seed N] [--out DIR] [--bench-samples N]
 //!                 [--min-host-parallelism N] [--min-pipeline-speedup X]
 //! run_experiments --sweep GRIDSPEC [--out DIR]
 //! run_experiments --compare-bench OLD.json NEW.json [--tolerance X]
@@ -18,7 +14,9 @@
 //!
 //! Unknown and **duplicate** flags are rejected with a usage message
 //! and exit code 2 — a grid-spec typo must never silently fall through
-//! to the default experiment run.
+//! to the default experiment run. So are a second mode flag and a flag
+//! the selected mode does not read: `--min-pipeline-speedup` without
+//! `--bench-pipeline` would otherwise skip its floor in silence.
 //!
 //! Experiment mode writes one `<id>.txt` and one `<id>.json` per
 //! experiment into the output directory and prints the text reports to
@@ -28,26 +26,17 @@
 //! sequential references — three phases: measurement assembly
 //! (`assemble_parallel` vs `assemble`), inference
 //! (`IncrementalPipeline::new` vs `run_pipeline`, over inputs assembled
-//! outside the timed window), and the two back to back — plus a
-//! streaming epoch replay through the incremental pipeline, a
-//! serving-throughput sweep (reader threads querying the
-//! `PeeringService` while a writer streams epochs), the wire-level
-//! gateway load study (HTTP clients over loopback sockets against an
-//! `opeer-gateway` fronting the same service), and the longitudinal
-//! archive replay (monthly world revisions retained as time-travel
-//! epochs, `--archive-months N` months of them), writes the
+//! outside the timed window), and the two back to back — writes the
 //! machine-readable report to `<out>/BENCH_pipeline.json` (schema
-//! `opeer-bench-pipeline/9`, documented in the README), and **exits
+//! `opeer-bench-pipeline/10`, documented in the README), and **exits
 //! non-zero if any run is not byte-identical to its sequential
-//! reference, if any serving reader observed a non-monotonic epoch, if
-//! the gateway study's expected-status / taxonomy / zero-panic gate
-//! failed, or if the archive replay diverged** (this is the check CI's
-//! bench-smoke job enforces). The
+//! reference** (this is the check CI's bench-smoke job enforces). The
 //! optional perf-gate floors harden it further for CI's multicore perf
 //! job: `--min-host-parallelism N` fails the run on a runner with
 //! fewer than N available cores, and `--min-pipeline-speedup X` fails
-//! it when the best pipeline-phase speedup across the thread sweep
-//! lands below X.
+//! it when the best pipeline-phase speedup among the swept thread
+//! counts that fit on the host lands below X. Bench mode defaults to
+//! `--scale large`; experiment mode defaults to `--scale paper`.
 //!
 //! Compare mode (`--compare-bench OLD.json NEW.json`) reads two
 //! scaling reports — any schema version that carries the phase
@@ -56,53 +45,18 @@
 //! by default, `--tolerance 0.2`-style override). CI's perf job runs
 //! it against the committed milestone report.
 //!
-//! Streaming mode (`--epochs N` without `--bench-pipeline`) drives the
-//! incremental pipeline alone: measurements are delivered in N epoch
-//! batches, per-epoch wall-clock and dirty-shard counts are printed,
-//! and the process **exits non-zero if the incremental result diverges
-//! from the one-shot pipeline** — the same contract as
-//! `--bench-pipeline` (CI's determinism job replays this under its
-//! `OPEER_THREADS` matrix).
-//!
-//! Archive mode (`--archive-months N` without `--bench-pipeline`)
-//! drives the longitudinal archive alone: N monthly world revisions
-//! stream through a `SnapshotArchive`, per-month wall-clock and
-//! dirty-shard counts, time-travel query throughput, and the
-//! retained-bytes estimate are printed, and the process **exits
-//! non-zero if the final archived state diverges from the one-shot
-//! pipeline over the accumulated input**. With `--bench-pipeline`, the
-//! flag sets how many months the report's `archive` section replays.
-//!
-//! Memory mode (`--memory-study`) drives the structural-sharing study
-//! alone: an epoch stream (measurement fill, then a content-free
-//! steady-state tail) through a retention-capped archive (cap from
-//! `OPEER_ARCHIVE_RETAIN`, default 6), with per-epoch publish dirty
-//! sets, publish wall-clock, and deduplicated retained bytes. Writes
-//! `<out>/BENCH_memory.json` and **exits non-zero unless every gate
-//! holds**: byte-identity against the non-shared baseline, flat
-//! retained bytes after compaction, full pointer sharing on clean
-//! epochs, and a ≥10× zero-dirty publish speedup. `--epochs N`
-//! overrides the stream length (default 24).
-//! Bench, streaming, archive, and memory modes default to
-//! `--scale large`; experiment mode defaults to `--scale paper`.
-//!
 //! Sweep mode (`--sweep GRIDSPEC`) runs the multi-world fleet: one
 //! world per (knob, seed) cell fanned over the worker pool, optionally
 //! extended with what-if scenario cells, aggregated into mean ± 95 %
 //! confidence bands (grid-spec syntax in `opeer_bench::fleet`). Writes
-//! `<out>/BENCH_sweep.json` (schema v9's `sweep` section) and **exits
+//! `<out>/BENCH_sweep.json` (the `sweep` section) and **exits
 //! non-zero unless the identity gate holds** — the first baseline cell
 //! must reproduce on a fresh re-run and the first scenario cell's
 //! delta path must equal a one-shot assemble + pipeline on the
 //! scenario world. CI's sweep-smoke step enforces this.
 
-use opeer_bench::{
-    memory_gates_hold, run_all, run_archive_study, run_memory_study, run_scaling_study,
-    run_streaming_session, Session, DEFAULT_ARCHIVE_MONTHS, DEFAULT_MEMORY_EPOCHS,
-    DEFAULT_MEMORY_RETAIN, DEFAULT_STREAMING_EPOCHS, DEFAULT_THREAD_SWEEP,
-};
+use opeer_bench::{run_all, run_scaling_study, Session, DEFAULT_THREAD_SWEEP};
 use opeer_core::engine::ParallelConfig;
-use opeer_core::pipeline::PipelineConfig;
 use opeer_topology::WorldConfig;
 use std::io::Write;
 use std::path::PathBuf;
@@ -114,9 +68,6 @@ struct Args {
     out: PathBuf,
     bench_pipeline: bool,
     bench_samples: usize,
-    epochs: Option<usize>,
-    archive_months: Option<u32>,
-    memory_study: bool,
     sweep: Option<String>,
     min_host_parallelism: Option<usize>,
     min_pipeline_speedup: Option<f64>,
@@ -132,9 +83,6 @@ impl Default for Args {
             out: PathBuf::from("target/experiments"),
             bench_pipeline: false,
             bench_samples: 5,
-            epochs: None,
-            archive_months: None,
-            memory_study: false,
             sweep: None,
             min_host_parallelism: None,
             min_pipeline_speedup: None,
@@ -144,10 +92,33 @@ impl Default for Args {
     }
 }
 
+/// The flags each mode reads, keyed by the flag that selects it
+/// (`None` is experiment mode).
+const MODES: &[(Option<&str>, &[&str])] = &[
+    (None, &["--scale", "--seed", "--out"]),
+    (
+        Some("--bench-pipeline"),
+        &[
+            "--bench-pipeline",
+            "--scale",
+            "--seed",
+            "--out",
+            "--bench-samples",
+            "--min-host-parallelism",
+            "--min-pipeline-speedup",
+        ],
+    ),
+    (Some("--sweep"), &["--sweep", "--out"]),
+    (Some("--compare-bench"), &["--compare-bench", "--tolerance"]),
+];
+
 /// Pure argv parser. `Err("")` requests the help text (exit 0); any
 /// other `Err` is a usage error (exit 2). Unknown flags and **repeated**
 /// flags are both errors — every flag takes effect exactly once, so a
-/// later duplicate can't silently overwrite an earlier value.
+/// later duplicate can't silently overwrite an earlier value. So are a
+/// second mode flag and a flag the selected mode does not read
+/// ([`MODES`]): a floor or a tolerance that no code reads must not
+/// look as if it had been applied.
 fn parse_from(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
     let mut seen: Vec<String> = Vec::new();
@@ -190,23 +161,6 @@ fn parse_from(argv: &[String]) -> Result<Args, String> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| "bad --bench-samples value".to_string())?
             }
-            "--epochs" => {
-                args.epochs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "bad --epochs value".to_string())?,
-                )
-            }
-            "--archive-months" => {
-                args.archive_months = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "bad --archive-months value".to_string())?,
-                )
-            }
-            "--memory-study" => args.memory_study = true,
             "--sweep" => {
                 args.sweep = Some(
                     it.next()
@@ -251,6 +205,32 @@ fn parse_from(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    let selected: Vec<&str> = MODES
+        .iter()
+        .filter_map(|&(mode, _)| mode)
+        .filter(|mode| seen.iter().any(|s| s == mode))
+        .collect();
+    if let [first, second, ..] = selected[..] {
+        return Err(format!("{first} and {second} select different modes"));
+    }
+    let mode = selected.first().copied();
+    let (_, reads) = MODES
+        .iter()
+        .find(|&&(m, _)| m == mode)
+        .expect("every mode is listed");
+    if let Some(flag) = seen.iter().find(|f| !reads.contains(&f.as_str())) {
+        return Err(match mode {
+            Some(mode) => format!("{flag} is not read with {mode}"),
+            None => {
+                let reader = MODES
+                    .iter()
+                    .find(|(_, r)| r.contains(&flag.as_str()))
+                    .and_then(|&(m, _)| m)
+                    .expect("every known flag is read by some mode");
+                format!("{flag} is only read with {reader}")
+            }
+        });
+    }
     Ok(args)
 }
 
@@ -264,9 +244,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: run_experiments [--scale paper|large|xlarge|small] [--seed N] [--out DIR] \
-                       [--bench-pipeline] [--bench-samples N] [--epochs N] \
-                       [--archive-months N] [--memory-study] \
+        "usage: run_experiments [--scale paper|large|xlarge|small] [--seed N] [--out DIR]\n\
+       run_experiments --bench-pipeline [--scale S] [--seed N] [--out DIR] [--bench-samples N] \
                        [--min-host-parallelism N] [--min-pipeline-speedup X]\n\
        run_experiments --sweep GRIDSPEC [--out DIR]\n\
        run_experiments --compare-bench OLD.json NEW.json [--tolerance X]"
@@ -405,11 +384,9 @@ fn run_bench_pipeline(args: &Args) -> ! {
     let world = cfg.generate();
     eprintln!("  {} [{:?}]", world.summary(), t0.elapsed());
 
-    let epochs = args.epochs.unwrap_or(DEFAULT_STREAMING_EPOCHS);
-    let archive_months = args.archive_months.unwrap_or(DEFAULT_ARCHIVE_MONTHS);
     eprintln!(
-        "scaling study: {} samples per point, threads {:?}, {} streaming epochs, {} archive months...",
-        args.bench_samples, DEFAULT_THREAD_SWEEP, epochs, archive_months
+        "scaling study: {} samples per point, threads {:?}...",
+        args.bench_samples, DEFAULT_THREAD_SWEEP
     );
     let report = run_scaling_study(
         scale,
@@ -417,8 +394,6 @@ fn run_bench_pipeline(args: &Args) -> ! {
         args.seed,
         DEFAULT_THREAD_SWEEP,
         args.bench_samples,
-        epochs,
-        archive_months,
     );
 
     for (phase, scaling) in [
@@ -443,11 +418,6 @@ fn run_bench_pipeline(args: &Args) -> ! {
             );
         }
     }
-    print_streaming(&report.streaming);
-    print_serving(&report.serving);
-    print_gateway(&report.gateway);
-    print_archive(&report.archive);
-    print_memory(&report.memory);
 
     std::fs::create_dir_all(&args.out).expect("create output directory");
     let path = args.out.join("BENCH_pipeline.json");
@@ -482,234 +452,6 @@ fn run_bench_pipeline(args: &Args) -> ! {
     std::process::exit(if failed { 1 } else { 0 });
 }
 
-/// Streaming mode: the incremental epoch replay plus the identity gate.
-fn run_streaming(args: &Args, epochs: usize) -> ! {
-    let scale = args.scale.as_deref().unwrap_or("large");
-    let cfg = world_config(scale, args.seed);
-    eprintln!("generating world (scale={scale}, seed={})...", args.seed);
-    let t0 = std::time::Instant::now();
-    let world = cfg.generate();
-    eprintln!("  {} [{:?}]", world.summary(), t0.elapsed());
-
-    let par = ParallelConfig::from_env();
-    eprintln!(
-        "streaming replay: {} epochs, {} worker threads...",
-        epochs, par.threads
-    );
-    let report = run_streaming_session(&world, args.seed, epochs, &PipelineConfig::default(), &par);
-    print_streaming(&report);
-
-    if !report.identical {
-        eprintln!("error: incremental replay diverged from the one-shot pipeline");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// Archive mode: the longitudinal monthly replay plus the identity gate.
-fn run_archive(args: &Args, months: u32) -> ! {
-    let scale = args.scale.as_deref().unwrap_or("large");
-    let cfg = world_config(scale, args.seed);
-    eprintln!("generating world (scale={scale}, seed={})...", args.seed);
-    let t0 = std::time::Instant::now();
-    let world = cfg.generate();
-    eprintln!("  {} [{:?}]", world.summary(), t0.elapsed());
-
-    let par = ParallelConfig::from_env();
-    eprintln!(
-        "archive replay: {} months, {} worker threads...",
-        months, par.threads
-    );
-    let report = run_archive_study(&world, args.seed, months, &PipelineConfig::default(), &par);
-    print_archive(&report);
-
-    if !report.identical {
-        eprintln!("error: archive replay diverged from the one-shot pipeline");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// Memory mode: the structural-sharing study plus its four gates.
-fn run_memory(args: &Args) -> ! {
-    let scale = args.scale.as_deref().unwrap_or("large");
-    let cfg = world_config(scale, args.seed);
-    eprintln!("generating world (scale={scale}, seed={})...", args.seed);
-    let t0 = std::time::Instant::now();
-    let world = cfg.generate();
-    eprintln!("  {} [{:?}]", world.summary(), t0.elapsed());
-
-    let par = ParallelConfig::from_env();
-    let epochs = args.epochs.unwrap_or(DEFAULT_MEMORY_EPOCHS);
-    let retain = std::env::var(opeer_core::archive::RETAIN_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_MEMORY_RETAIN);
-    eprintln!(
-        "memory study: {} epochs, retain {}, {} worker threads...",
-        epochs, retain, par.threads
-    );
-    let report = run_memory_study(
-        &world,
-        args.seed,
-        epochs,
-        retain,
-        &PipelineConfig::default(),
-        &par,
-    );
-    print_memory(&report);
-
-    std::fs::create_dir_all(&args.out).expect("create output directory");
-    let path = args.out.join("BENCH_memory.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&path, json).expect("write BENCH_memory.json");
-    println!("wrote {}", path.display());
-
-    if !report.identical {
-        eprintln!("error: shared snapshots diverged from the non-shared baseline");
-    }
-    if !report.flat_after_compaction {
-        eprintln!("error: retained bytes drifted past tolerance after compaction");
-    }
-    if !report.zero_dirty_shared_all {
-        eprintln!("error: a clean epoch rebuilt a partition instead of sharing it");
-    }
-    if report.publish_speedup < opeer_bench::memory::MIN_PUBLISH_SPEEDUP {
-        eprintln!(
-            "error: zero-dirty publish speedup {:.1}x below the {:.0}x floor",
-            report.publish_speedup,
-            opeer_bench::memory::MIN_PUBLISH_SPEEDUP
-        );
-    }
-    std::process::exit(if memory_gates_hold(&report) { 0 } else { 1 });
-}
-
-fn print_memory(m: &opeer_bench::MemoryReport) {
-    println!(
-        "[memory: {} epochs ({} fill), retain {}]",
-        m.epochs, m.fill_epochs, m.retain
-    );
-    for e in &m.per_epoch {
-        println!(
-            "  epoch {:<2} +{:>6} obs +{:>6} traces  dirty_ixps={:<3} dirty_asns={:<4} clean={:<5} publish {:8.3} ms  retained {} epochs / {:>9} bytes  shared/owned {}/{}",
-            e.epoch,
-            e.campaign_observations,
-            e.corpus_traces,
-            e.dirty_ixps,
-            e.dirty_asns,
-            e.clean,
-            e.publish_ms,
-            e.retained_epochs,
-            e.retained_bytes,
-            e.shared_partitions,
-            e.owned_partitions,
-        );
-    }
-    println!(
-        "  final: ~{} retained bytes; flat_after_compaction={}; \
-         full publish {:.3} ms vs zero-dirty {:.6} ms ({:.0}x); \
-         zero_dirty_shared_all={}; identical={}",
-        m.retained_bytes_final,
-        m.flat_after_compaction,
-        m.full_publish_ms,
-        m.zero_dirty_publish_ms,
-        m.publish_speedup,
-        m.zero_dirty_shared_all,
-        m.identical
-    );
-}
-
-fn print_streaming(s: &opeer_bench::StreamingReport) {
-    println!("[streaming: {} epochs]", s.epochs);
-    println!("  base (registry + vps + prefix2as)  {:8.3} ms", s.base_ms);
-    for e in &s.per_epoch {
-        println!(
-            "  epoch {:<2} +{:>6} obs +{:>6} traces  {:8.3} ms  dirty: s1={} s2={} s3={} corpus={} s4={} s5={}",
-            e.epoch,
-            e.campaign_observations,
-            e.corpus_traces,
-            e.wall_ms,
-            e.dirty.step1_ixps,
-            e.dirty.step2_observations,
-            e.dirty.step3_targets,
-            e.dirty.corpus_traces,
-            e.dirty.step4_candidates,
-            e.dirty.step5_ixps,
-        );
-    }
-    println!(
-        "  last epoch: {} of {} shard units dirty; {:.3} ms vs {:.3} ms full re-run; identical={}",
-        s.last_epoch_dirty, s.total_shards, s.last_epoch_ms, s.full_rerun_ms, s.identical
-    );
-}
-
-fn print_gateway(g: &opeer_bench::GatewayReport) {
-    println!("[gateway: {} epochs streamed per point]", g.epochs);
-    for p in &g.points {
-        println!(
-            "  conns={:<2} {:>9} requests in {:8.3} ms  {:>10.0} req/s  epochs seen ..{} monotonic={} statuses_expected={}",
-            p.connections,
-            p.requests,
-            p.wall_ms,
-            p.rps,
-            p.max_epoch_seen,
-            p.epochs_monotonic,
-            p.statuses_expected,
-        );
-        for r in &p.routes {
-            println!(
-                "    {:<9} {:>8} req {:>6} err  p50 {:>7} µs  p99 {:>7} µs  max {:>7} µs",
-                r.route, r.requests, r.errors, r.p50_us, r.p99_us, r.max_us
-            );
-        }
-    }
-    println!(
-        "  ok={} epochs_monotonic={} statuses_expected={} panics={}",
-        g.ok, g.epochs_monotonic, g.statuses_expected, g.panics
-    );
-}
-
-fn print_serving(s: &opeer_bench::ServingReport) {
-    println!("[serving: {} epochs streamed per point]", s.epochs);
-    for p in &s.points {
-        println!(
-            "  readers={:<2} {:>9} queries in {:8.3} ms  {:>12.0} q/s  epochs seen [{}..{}] monotonic={}",
-            p.readers,
-            p.queries,
-            p.wall_ms,
-            p.qps,
-            p.min_epoch_seen,
-            p.max_epoch_seen,
-            p.epochs_monotonic,
-        );
-    }
-    println!(
-        "  identical={} epochs_monotonic={} tags_consistent={}",
-        s.identical, s.epochs_monotonic, s.tags_consistent
-    );
-}
-
-fn print_archive(a: &opeer_bench::ArchiveReport) {
-    println!("[archive: {} months replayed]", a.months);
-    println!("  base epoch build                   {:8.3} ms", a.base_ms);
-    for m in &a.per_month {
-        println!(
-            "  month {:<2} epoch {:<2} registry={:<5} +{:>6} obs +{:>6} traces  {:8.3} ms  dirty={}",
-            m.month,
-            m.epoch,
-            m.registry_revision,
-            m.campaign_observations,
-            m.corpus_traces,
-            m.wall_ms,
-            m.dirty.total(),
-        );
-    }
-    println!(
-        "  {} epochs archived in {:.3} ms; {} time-travel queries at {:.0} q/s; ~{} retained bytes; identical={}",
-        a.epochs_archived, a.replay_ms, a.queries, a.query_qps, a.retained_bytes, a.identical
-    );
-}
-
 fn main() {
     let args = parse_args();
     if let Some((old, new)) = &args.compare_bench {
@@ -720,15 +462,6 @@ fn main() {
     }
     if args.bench_pipeline {
         run_bench_pipeline(&args);
-    }
-    if args.memory_study {
-        run_memory(&args);
-    }
-    if let Some(epochs) = args.epochs {
-        run_streaming(&args, epochs);
-    }
-    if let Some(months) = args.archive_months {
-        run_archive(&args, months);
     }
     let scale = args.scale.as_deref().unwrap_or("paper").to_string();
     let cfg = world_config(&scale, args.seed);
@@ -794,6 +527,108 @@ mod tests {
     fn unknown_flag_is_rejected() {
         let err = parse_from(&argv(&["--swep", "base=tiny"])).unwrap_err();
         assert!(err.contains("unknown flag --swep"), "{err}");
+        // The retired study flags are unknown too.
+        for flag in ["--epochs", "--archive-months", "--memory-study"] {
+            let err = parse_from(&argv(&[flag, "3"])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn second_mode_flag_is_rejected() {
+        for modes in [
+            &["--bench-pipeline", "--sweep", "base=tiny"][..],
+            &["--sweep", "base=tiny", "--bench-pipeline"],
+            &["--compare-bench", "a.json", "b.json", "--bench-pipeline"],
+            &[
+                "--sweep",
+                "base=tiny",
+                "--compare-bench",
+                "a.json",
+                "b.json",
+            ],
+        ] {
+            let err = parse_from(&argv(modes)).unwrap_err();
+            assert!(err.contains("select different modes"), "{modes:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn flag_the_mode_does_not_read_is_rejected() {
+        for (flags, want) in [
+            (
+                &["--min-pipeline-speedup", "99", "--scale", "small"][..],
+                "--min-pipeline-speedup is only read with --bench-pipeline",
+            ),
+            (
+                &["--min-host-parallelism", "2"],
+                "--min-host-parallelism is only read with --bench-pipeline",
+            ),
+            (
+                &["--bench-samples", "3"],
+                "--bench-samples is only read with --bench-pipeline",
+            ),
+            (
+                &["--tolerance", "0.5"],
+                "--tolerance is only read with --compare-bench",
+            ),
+            (
+                &["--bench-pipeline", "--tolerance", "0.5"],
+                "--tolerance is not read with --bench-pipeline",
+            ),
+            (
+                &["--sweep", "base=tiny", "--seed", "3"],
+                "--seed is not read with --sweep",
+            ),
+            (
+                &["--sweep", "base=tiny", "--bench-samples", "3"],
+                "--bench-samples is not read with --sweep",
+            ),
+            (
+                &["--compare-bench", "a.json", "b.json", "--out", "x"],
+                "--out is not read with --compare-bench",
+            ),
+        ] {
+            let err = parse_from(&argv(flags)).unwrap_err();
+            assert!(err.contains(want), "{flags:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn each_mode_takes_the_flags_it_reads() {
+        let args = parse_from(&argv(&[
+            "--bench-pipeline",
+            "--scale",
+            "small",
+            "--seed",
+            "7",
+            "--out",
+            "x",
+            "--bench-samples",
+            "2",
+            "--min-host-parallelism",
+            "2",
+            "--min-pipeline-speedup",
+            "1.25",
+        ]))
+        .expect("bench argv parses");
+        assert!(args.bench_pipeline);
+        assert_eq!(args.bench_samples, 2);
+        assert_eq!(args.min_pipeline_speedup, Some(1.25));
+        let args = parse_from(&argv(&[
+            "--compare-bench",
+            "a.json",
+            "b.json",
+            "--tolerance",
+            "0.5",
+        ]))
+        .expect("compare argv parses");
+        assert_eq!(args.tolerance, 0.5);
+        assert!(args.compare_bench.is_some());
+        let args = parse_from(&argv(&["--scale", "small", "--seed", "3", "--out", "x"]))
+            .expect("experiment argv parses");
+        assert_eq!(args.scale.as_deref(), Some("small"));
+        assert_eq!(args.seed, 3);
     }
 
     #[test]
@@ -804,8 +639,8 @@ mod tests {
 
     #[test]
     fn duplicate_boolean_flag_is_rejected() {
-        let err = parse_from(&argv(&["--memory-study", "--memory-study"])).unwrap_err();
-        assert!(err.contains("duplicate flag --memory-study"), "{err}");
+        let err = parse_from(&argv(&["--bench-pipeline", "--bench-pipeline"])).unwrap_err();
+        assert!(err.contains("duplicate flag --bench-pipeline"), "{err}");
     }
 
     #[test]

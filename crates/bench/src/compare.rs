@@ -13,18 +13,8 @@
 //! can gate a schema-6 candidate (and vice versa) across the exact
 //! phase/thread-count grid they share. Thread counts present on one
 //! side only are skipped, not failed — sweeps legitimately differ
-//! across runner shapes.
-//!
-//! Schema-8 reports additionally carry a `memory` section (the
-//! structural-sharing study). When **both** sides have it, its scalar
-//! costs — `full_publish_ms`, `zero_dirty_publish_ms`, and
-//! `retained_bytes_final` — are gated by the same tolerance; a
-//! schema-7 baseline simply skips the section.
-//!
-//! Schema-9 adds the `sweep` section (the multi-world fleet,
-//! `BENCH_sweep.json`). When both sides carry it, its wall-clock
-//! scalars — `total_wall_ms` and `mean_cell_wall_ms` — are gated the
-//! same way; either side lacking the section skips it.
+//! across runner shapes. Any other section (the `memory` and `sweep`
+//! sections older schemas carried, for one) is ignored.
 
 use serde_json::Value;
 
@@ -35,33 +25,17 @@ pub const DEFAULT_TOLERANCE: f64 = 0.20;
 /// The phases every report schema to date carries.
 const PHASES: &[&str] = &["assembly", "pipeline", "end_to_end"];
 
-/// Scalar costs of the schema-8 `memory` section, compared (with the
-/// same tolerance) only when both reports carry the section.
-const MEMORY_METRICS: &[&str] = &[
-    "full_publish_ms",
-    "zero_dirty_publish_ms",
-    "retained_bytes_final",
-];
-
-/// Scalar costs of the schema-9 `sweep` section (the fleet report),
-/// compared only when both reports carry the section.
-const SWEEP_METRICS: &[&str] = &["total_wall_ms", "mean_cell_wall_ms"];
-
 /// One regressed configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
-    /// Phase name (`assembly` / `pipeline` / `end_to_end`),
-    /// `memory/<metric>` for a schema-8 memory-section scalar, or
-    /// `sweep/<metric>` for a schema-9 sweep-section scalar.
+    /// Phase name (`assembly` / `pipeline` / `end_to_end`).
     pub phase: String,
     /// Thread count of the regressed point, or `None` for the
-    /// sequential reference (and for memory-section scalars).
+    /// sequential reference.
     pub threads: Option<usize>,
-    /// Baseline mean wall-clock, milliseconds (raw metric value for
-    /// memory-section scalars — bytes for `retained_bytes_final`).
+    /// Baseline mean wall-clock, milliseconds.
     pub old_mean_ms: f64,
-    /// Candidate mean wall-clock, milliseconds (raw metric value for
-    /// memory-section scalars).
+    /// Candidate mean wall-clock, milliseconds.
     pub new_mean_ms: f64,
     /// `new / old` — always `> 1 + tolerance` for a reported entry.
     pub ratio: f64,
@@ -69,17 +43,6 @@ pub struct Regression {
 
 impl std::fmt::Display for Regression {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.phase.starts_with("memory/") || self.phase.starts_with("sweep/") {
-            // Section scalars carry their unit in the metric name.
-            return write!(
-                f,
-                "{}: {:.3} -> {:.3} ({:+.1} %)",
-                self.phase,
-                self.old_mean_ms,
-                self.new_mean_ms,
-                (self.ratio - 1.0) * 100.0
-            );
-        }
         match self.threads {
             Some(t) => write!(
                 f,
@@ -190,39 +153,6 @@ fn compare_phase(
     compared
 }
 
-/// Compares a section's scalar metrics (schema-8 `memory`, schema-9
-/// `sweep`) when both sides carry them. Returns how many overlapped.
-fn compare_scalars(
-    section: &str,
-    metrics: &[&str],
-    old: &Value,
-    new: &Value,
-    tolerance: f64,
-    out: &mut Vec<Regression>,
-) -> usize {
-    let mut compared = 0;
-    for &metric in metrics {
-        let finite = |v: &Value| v.as_f64().filter(|m| m.is_finite());
-        let (Some(o), Some(n)) = (
-            old.get(metric).and_then(finite),
-            new.get(metric).and_then(finite),
-        ) else {
-            continue;
-        };
-        compared += 1;
-        if n > o * (1.0 + tolerance) {
-            out.push(Regression {
-                phase: format!("{section}/{metric}"),
-                threads: None,
-                old_mean_ms: o,
-                new_mean_ms: n,
-                ratio: n / o.max(f64::EPSILON),
-            });
-        }
-    }
-    compared
-}
-
 /// Diffs two parsed reports. Errors only on structurally unusable
 /// input (no recognizable phase on either side); missing individual
 /// fields are skipped.
@@ -237,16 +167,9 @@ pub fn compare_reports(old: &Value, new: &Value, tolerance: f64) -> Result<Compa
             compared += compare_phase(phase, o, n, tolerance, &mut regressions);
         }
     }
-    if let (Some(o), Some(n)) = (old.get("memory"), new.get("memory")) {
-        compared += compare_scalars("memory", MEMORY_METRICS, o, n, tolerance, &mut regressions);
-    }
-    if let (Some(o), Some(n)) = (old.get("sweep"), new.get("sweep")) {
-        compared += compare_scalars("sweep", SWEEP_METRICS, o, n, tolerance, &mut regressions);
-    }
     if compared == 0 {
         return Err(format!(
-            "no comparable phase configurations (expected {PHASES:?} with sequential_ms/points, \
-             or a shared memory/sweep section)"
+            "no comparable phase configurations (expected {PHASES:?} with sequential_ms/points)"
         ));
     }
     Ok(Comparison {
@@ -385,11 +308,12 @@ mod tests {
         assert!(c.passed());
     }
 
-    /// Wraps a phase fixture with a schema-8 `memory` section.
-    fn with_memory(mut report: Value, full_ms: f64, zero_ms: f64, bytes: f64) -> Value {
-        let section = parse(&format!(
-            r#"{{"full_publish_ms": {full_ms}, "zero_dirty_publish_ms": {zero_ms}, "retained_bytes_final": {bytes}}}"#
-        ));
+    /// Wraps a phase fixture with a `memory` section, as schema 8 and 9
+    /// reports carried.
+    fn with_memory(mut report: Value) -> Value {
+        let section = parse(
+            r#"{"full_publish_ms": 50.0, "zero_dirty_publish_ms": 0.5, "retained_bytes_final": 1000000}"#,
+        );
         let Value::Object(members) = &mut report else {
             panic!("object fixture");
         };
@@ -398,72 +322,22 @@ mod tests {
     }
 
     #[test]
-    fn memory_section_within_tolerance_passes() {
-        let base = report(V6, 100.0, &[(1, 100.0)], &[]);
-        let old = with_memory(base.clone(), 50.0, 0.5, 1_000_000.0);
-        let new = with_memory(base, 55.0, 0.55, 1_050_000.0);
-        let c = compare_reports(&old, &new, DEFAULT_TOLERANCE).expect("comparable");
-        // 3 phases × 2 configurations + 3 memory scalars.
-        assert_eq!(c.compared, 9);
-        assert!(c.passed(), "{:?}", c.regressions);
-    }
-
-    #[test]
-    fn memory_regression_is_caught_and_named() {
-        let base = report(V6, 100.0, &[(1, 100.0)], &[]);
-        let old = with_memory(base.clone(), 50.0, 0.5, 1_000_000.0);
-        // Retained bytes balloon by 60 % — the flat ceiling slipped.
-        let new = with_memory(base, 50.0, 0.5, 1_600_000.0);
-        let c = compare_reports(&old, &new, DEFAULT_TOLERANCE).expect("comparable");
-        assert!(!c.passed());
-        assert_eq!(c.regressions.len(), 1);
-        let r = &c.regressions[0];
-        assert_eq!(r.phase, "memory/retained_bytes_final");
-        assert_eq!(r.threads, None);
-        assert!((r.ratio - 1.6).abs() < 1e-9);
-        assert!(r.to_string().contains("memory/retained_bytes_final"));
-        assert!(!r.to_string().contains("sequential"));
-    }
-
-    #[test]
     fn schema_7_baseline_without_memory_skips_the_section() {
         let old = report("opeer-bench-pipeline/7", 100.0, &[(1, 100.0)], &[]);
-        let new = with_memory(report(V6, 100.0, &[(1, 100.0)], &[]), 50.0, 0.5, 1e6);
+        let new = with_memory(report(V6, 100.0, &[(1, 100.0)], &[]));
         let c = compare_reports(&old, &new, DEFAULT_TOLERANCE).expect("comparable");
         assert_eq!(c.compared, 6);
         assert!(c.passed());
-    }
-
-    /// A schema-9 sweep-only fixture (`BENCH_sweep.json` shape).
-    fn sweep_report(total_ms: f64, mean_cell_ms: f64) -> Value {
-        parse(&format!(
-            r#"{{"schema": "opeer-bench-pipeline/9", "sweep": {{"total_wall_ms": {total_ms}, "mean_cell_wall_ms": {mean_cell_ms}, "identity": true}}}}"#
-        ))
-    }
-
-    #[test]
-    fn sweep_section_compares_and_gates() {
-        let old = sweep_report(1000.0, 125.0);
-        let ok = sweep_report(1100.0, 137.0);
-        let c = compare_reports(&old, &ok, DEFAULT_TOLERANCE).expect("comparable");
-        assert_eq!(c.compared, 2);
-        assert!(c.passed(), "{:?}", c.regressions);
-
-        let slow = sweep_report(1000.0, 200.0);
-        let c = compare_reports(&old, &slow, DEFAULT_TOLERANCE).expect("comparable");
-        assert!(!c.passed());
-        assert_eq!(c.regressions.len(), 1);
-        let r = &c.regressions[0];
-        assert_eq!(r.phase, "sweep/mean_cell_wall_ms");
-        assert!((r.ratio - 1.6).abs() < 1e-9);
-        assert!(r.to_string().contains("sweep/mean_cell_wall_ms"));
-        assert!(!r.to_string().contains("sequential"));
+        // A section on both sides is not compared either: only the
+        // phases are gated.
+        let c = compare_reports(&new, &new, DEFAULT_TOLERANCE).expect("comparable");
+        assert_eq!(c.compared, 6);
     }
 
     #[test]
     fn pipeline_baseline_without_sweep_skips_the_section() {
-        // A v8 BENCH_pipeline.json gating a v9 candidate (and the sweep
-        // file showing up on one side only) must not fail the diff.
+        // A v8 BENCH_pipeline.json gating a candidate that carries a
+        // `sweep` section must not fail the diff.
         let old = report("opeer-bench-pipeline/8", 100.0, &[(1, 100.0)], &[]);
         let Value::Object(members) = &mut report(V6, 100.0, &[(1, 100.0)], &[]).clone() else {
             panic!("object fixture");
@@ -476,6 +350,12 @@ mod tests {
         let c = compare_reports(&old, &new, DEFAULT_TOLERANCE).expect("comparable");
         assert_eq!(c.compared, 6);
         assert!(c.passed());
+        // A `BENCH_sweep.json` carries no phase, so diffing two of them
+        // is an error, not a vacuous pass.
+        let sweep_only = parse(
+            r#"{"schema": "opeer-bench-pipeline/10", "sweep": {"total_wall_ms": 5.0, "mean_cell_wall_ms": 1.0}}"#,
+        );
+        assert!(compare_reports(&sweep_only, &sweep_only, DEFAULT_TOLERANCE).is_err());
     }
 
     #[test]

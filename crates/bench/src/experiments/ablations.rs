@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of the design choices the paper's method rests on.
 //!
 //! Three questions the paper's design implies but never isolates:
 //!

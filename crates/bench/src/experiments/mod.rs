@@ -1,4 +1,5 @@
-//! One experiment per table/figure of the paper (DESIGN.md §4).
+//! One experiment per table/figure of the paper; [`run_all`] renders
+//! them all (README, "Reproducing the paper's artifacts").
 
 pub mod ablations;
 pub mod fig_analysis;

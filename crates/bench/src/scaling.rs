@@ -1,21 +1,13 @@
 //! The engine scaling study: sequential references vs the worker pool
 //! at several thread counts — for measurement assembly, for the
-//! inference pipeline, and for the two back to back — plus the
-//! streaming epoch replay, the serving-throughput sweep, the
-//! wire-level gateway load study, the longitudinal archive replay, and
-//! the structural-sharing memory study, with byte-identity checks and
-//! a machine-readable report (`BENCH_pipeline.json`, schema
-//! `opeer-bench-pipeline/9`).
+//! inference pipeline, and for the two back to back — with
+//! byte-identity checks and a machine-readable report
+//! (`BENCH_pipeline.json`, schema `opeer-bench-pipeline/10`).
 //!
 //! Used by `run_experiments --bench-pipeline` (which is what CI's
 //! bench-smoke and perf jobs run and archive). The README documents the
 //! report schema field by field.
 
-use crate::archive::{run_archive_study, ArchiveReport};
-use crate::gateway::{run_gateway_study, GatewayReport, DEFAULT_CONNECTION_SWEEP};
-use crate::memory::{run_memory_study, MemoryReport, DEFAULT_MEMORY_EPOCHS, DEFAULT_MEMORY_RETAIN};
-use crate::serving::{run_serving_study, ServingReport, DEFAULT_READER_SWEEP};
-use crate::streaming::{run_streaming_session, StreamingReport};
 use opeer_core::engine::ParallelConfig;
 use opeer_core::incremental::IncrementalPipeline;
 use opeer_core::pipeline::{run_pipeline, PipelineConfig};
@@ -95,9 +87,10 @@ impl PhaseScaling {
 }
 
 /// BENCH schema tag shared by every report this crate writes
-/// (`BENCH_pipeline.json`, `BENCH_sweep.json`). v9 added the optional
-/// `sweep` section ([`crate::fleet::SweepBenchReport`]).
-pub const BENCH_SCHEMA: &str = "opeer-bench-pipeline/9";
+/// (`BENCH_pipeline.json`, `BENCH_sweep.json`). v10 dropped the
+/// `streaming`, `serving`, `gateway`, `archive` and `memory` sections,
+/// leaving the three phases.
+pub const BENCH_SCHEMA: &str = "opeer-bench-pipeline/10";
 
 /// The full study report, serialised as `BENCH_pipeline.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -125,7 +118,9 @@ pub struct ScalingReport {
     pub best_pipeline_speedup: f64,
     /// Measurement assembly: `InferenceInput::assemble` vs
     /// `assemble_parallel` (registry fusion + campaign + corpus +
-    /// `prefix2as` sharded over the pool).
+    /// `prefix2as` sharded over the pool). `assemble` *is*
+    /// `assemble_parallel` at one thread, so the 1-thread point reports
+    /// the sequential samples instead of timing the same call again.
     pub assembly: PhaseScaling,
     /// The five-step inference: `run_pipeline` vs
     /// `IncrementalPipeline::new` (the full recompute
@@ -135,36 +130,9 @@ pub struct ScalingReport {
     /// End to end: sequential `assemble` + `run_pipeline` vs
     /// `assemble_parallel` + `IncrementalPipeline::new`.
     pub end_to_end: PhaseScaling,
-    /// Streaming epoch replay through the incremental pipeline:
-    /// per-epoch wall-clock and dirty-shard counts, plus the cost of the
-    /// full re-run the last epoch's delta replaces.
-    pub streaming: StreamingReport,
-    /// Serving throughput: queries/sec against the `PeeringService`
-    /// under N reader threads racing the streaming writer, with epoch
-    /// monotonicity and final byte-identity audits.
-    pub serving: ServingReport,
-    /// The wire-level gateway load study: real HTTP clients over
-    /// loopback sockets against the gateway fronting a live service,
-    /// with expected-status, epoch-monotonic, error-taxonomy, and
-    /// zero-panic audits.
-    pub gateway: GatewayReport,
-    /// The longitudinal archive replay: monthly world revisions
-    /// streamed through a `SnapshotArchive`, with per-month dirty
-    /// accounting, time-travel query throughput, the retained-bytes
-    /// estimate, and its own byte-identity gate (new in schema 7).
-    pub archive: ArchiveReport,
-    /// The structural-sharing memory study: an epoch stream through a
-    /// retention-capped archive, per-epoch publish dirty sets and
-    /// deduplicated retained bytes, the zero-dirty vs full publish
-    /// cost comparison, and a byte-identity audit against a non-shared
-    /// snapshot baseline (new in schema 8).
-    pub memory: MemoryReport,
-    /// Whether every parallel run in every phase — and the final states
-    /// of the streaming replay, the serving sweep, and the archive
-    /// replay — matched their sequential references byte for byte, plus
-    /// the serving epoch monotonicity audit and the gateway study's
-    /// `ok` gate: the gate `run_experiments --bench-pipeline` enforces
-    /// with its exit code.
+    /// Whether every parallel run in every phase matched its sequential
+    /// reference byte for byte: the gate `run_experiments
+    /// --bench-pipeline` enforces with its exit code.
     pub all_identical: bool,
 }
 
@@ -212,22 +180,16 @@ fn timed<R>(samples: usize, mut f: impl FnMut() -> R) -> (TimingMs, R) {
     (timing, last)
 }
 
-/// Epoch count the streaming section of the study replays by default.
-pub const DEFAULT_STREAMING_EPOCHS: usize = 4;
-
 /// Runs the study: for each of the three phases (assembly, pipeline,
 /// end-to-end), `samples` timed sequential runs, then `samples` timed
 /// parallel runs per thread count, each checked byte-for-byte against
-/// the sequential reference — plus one streaming replay of the same
-/// world in `epochs` batches through the incremental pipeline.
+/// the sequential reference.
 pub fn run_scaling_study(
     world_label: &str,
     world: &World,
     seed: u64,
     thread_sweep: &[usize],
     samples: usize,
-    epochs: usize,
-    archive_months: u32,
 ) -> ScalingReport {
     let samples = samples.max(1);
     let cfg = PipelineConfig::default();
@@ -236,6 +198,17 @@ pub fn run_scaling_study(
     let (assembly_seq_ms, input) = timed(samples, || InferenceInput::assemble(world, seed));
     let mut assembly_points = Vec::with_capacity(thread_sweep.len());
     for &threads in thread_sweep {
+        if threads == 1 {
+            // `assemble` is `assemble_parallel` at one thread: its
+            // samples are this point's samples.
+            assembly_points.push(ThreadPoint {
+                threads,
+                timing_ms: assembly_seq_ms,
+                speedup: 1.0,
+                identical: true,
+            });
+            continue;
+        }
         let par = ParallelConfig::new(threads);
         let (timing_ms, identical, _) = timed_audited(
             samples,
@@ -313,67 +286,8 @@ pub fn run_scaling_study(
         points: e2e_points,
     };
 
-    // ---- streaming epoch replay (incremental pipeline) ----
-    // One replay, not a thread sweep: the per-epoch dirty counts are
-    // schedule-independent, and the determinism CI matrix already
-    // re-runs the replay at 1/2/8 threads.
-    let streaming = run_streaming_session(
-        world,
-        seed,
-        epochs,
-        &cfg,
-        &ParallelConfig::new(thread_sweep.last().copied().unwrap_or(1)),
-    );
-
-    // ---- serving throughput (readers racing the streaming writer) ----
-    let serving = run_serving_study(
-        world,
-        seed,
-        epochs,
-        DEFAULT_READER_SWEEP,
-        &cfg,
-        &ParallelConfig::new(thread_sweep.last().copied().unwrap_or(1)),
-    );
-
-    // ---- gateway wire-level load (HTTP clients racing the writer) ----
-    let gateway = run_gateway_study(
-        world,
-        seed,
-        epochs,
-        DEFAULT_CONNECTION_SWEEP,
-        &cfg,
-        &ParallelConfig::new(thread_sweep.last().copied().unwrap_or(1)),
-    );
-
-    // ---- longitudinal archive replay (monthly revisions, time travel) ----
-    let archive = run_archive_study(
-        world,
-        seed,
-        archive_months,
-        &cfg,
-        &ParallelConfig::new(thread_sweep.last().copied().unwrap_or(1)),
-    );
-
-    // ---- structural-sharing memory study (bounded-retention stream) ----
-    let memory = run_memory_study(
-        world,
-        seed,
-        DEFAULT_MEMORY_EPOCHS,
-        DEFAULT_MEMORY_RETAIN,
-        &cfg,
-        &ParallelConfig::new(thread_sweep.last().copied().unwrap_or(1)),
-    );
-
-    let all_identical = assembly.all_identical
-        && pipeline.all_identical
-        && end_to_end.all_identical
-        && streaming.identical
-        && serving.identical
-        && serving.epochs_monotonic
-        && serving.tags_consistent
-        && gateway.ok
-        && archive.identical
-        && memory.identical;
+    let all_identical =
+        assembly.all_identical && pipeline.all_identical && end_to_end.all_identical;
     let host_parallelism = ParallelConfig::available_parallelism();
     let best_pipeline_speedup = pipeline.best_speedup_within(host_parallelism);
     ScalingReport {
@@ -389,11 +303,6 @@ pub fn run_scaling_study(
         assembly,
         pipeline,
         end_to_end,
-        streaming,
-        serving,
-        gateway,
-        archive,
-        memory,
         all_identical,
     }
 }
@@ -406,35 +315,25 @@ mod tests {
     #[test]
     fn study_reports_identical_results_on_small_world() {
         let world = WorldConfig::small(7).generate();
-        let report = run_scaling_study("small", &world, 7, &[1, 2], 1, 3, 2);
+        let report = run_scaling_study("small", &world, 7, &[1, 2], 1);
         assert!(report.all_identical, "a parallel phase diverged");
         assert!(report.assembly.all_identical);
         assert!(report.pipeline.all_identical);
         assert!(report.end_to_end.all_identical);
-        assert!(report.streaming.identical);
-        assert!(report.serving.identical);
-        assert!(report.serving.epochs_monotonic);
-        assert!(report.serving.tags_consistent);
-        assert!(!report.serving.points.is_empty());
-        assert!(report.gateway.ok, "gateway study gate failed");
-        assert_eq!(report.gateway.panics, 0);
-        assert!(!report.gateway.points.is_empty());
-        assert!(report.archive.identical, "archive replay diverged");
-        assert_eq!(report.archive.months, 2);
-        assert_eq!(report.archive.epochs_archived, 3);
-        assert!(report.archive.retained_bytes > 0);
         assert_eq!(report.pipeline.points.len(), 2);
         assert_eq!(report.assembly.points.len(), 2);
         assert_eq!(report.end_to_end.points.len(), 2);
-        assert_eq!(report.streaming.per_epoch.len(), 3);
-        assert!(
-            report.streaming.last_epoch_dirty < report.streaming.total_shards,
-            "streaming replay is not incremental"
-        );
         assert!(report.speedup_at(2).is_some());
         assert!(report.assembly.speedup_at(2).is_some());
         assert!(report.pipeline.sequential_ms.min > 0.0);
         assert!(report.assembly.sequential_ms.min > 0.0);
+        // The assembly phase's 1-thread point is its sequential samples,
+        // not a second timing of the same call.
+        let one = &report.assembly.points[0];
+        assert_eq!(one.threads, 1);
+        assert_eq!(one.timing_ms.min, report.assembly.sequential_ms.min);
+        assert_eq!(one.timing_ms.mean, report.assembly.sequential_ms.mean);
+        assert_eq!(one.speedup, 1.0);
         assert_eq!(
             report.best_pipeline_speedup,
             report.pipeline.best_speedup_within(report.host_parallelism)
@@ -445,20 +344,12 @@ mod tests {
             .iter()
             .any(|p| p.threads <= report.host_parallelism.max(1)
                 && p.speedup == report.best_pipeline_speedup));
-        assert!(report.memory.identical, "memory study diverged");
-        assert!(report.memory.zero_dirty_shared_all);
-        assert!(report.memory.retained_bytes_final > 0);
         let json = serde_json::to_string(&report).expect("report serialises");
         assert!(json.contains("\"schema\":"));
-        assert!(json.contains("opeer-bench-pipeline/9"));
+        assert!(json.contains("opeer-bench-pipeline/10"));
         assert!(json.contains("\"best_pipeline_speedup\":"));
         assert!(json.contains("\"assembly\":"));
         assert!(json.contains("\"end_to_end\":"));
-        assert!(json.contains("\"streaming\":"));
-        assert!(json.contains("\"serving\":"));
-        assert!(json.contains("\"gateway\":"));
-        assert!(json.contains("\"archive\":"));
-        assert!(json.contains("\"memory\":"));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub const READ_TIMEOUT_ENV: &str = "OPEER_GATEWAY_READ_TIMEOUT_MS";
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Listen address (`host:port`; port `0` binds an ephemeral port —
-    /// the tests and loadgen do exactly that).
+    /// the tests and perfbench's `wire_read` workload do exactly that).
     pub addr: String,
     /// Worker threads handling connections (thread-per-core by
     /// default: the machine's available parallelism).

@@ -414,7 +414,7 @@ pub fn write_response(
     stream.flush()
 }
 
-/// A parsed response, as read back by the test/loadgen client.
+/// A parsed response, as read back by [`ClientConn`].
 #[derive(Debug)]
 pub struct ClientResponse {
     /// The status code.
@@ -426,8 +426,9 @@ pub struct ClientResponse {
 }
 
 /// Minimal client-side response reader over the same buffered-leftover
-/// discipline as [`Conn`], used by the integration tests and the
-/// loadgen client (which also keep connections alive across requests).
+/// discipline as [`Conn`], used by the integration tests, the
+/// `gateway_smoke` example and perfbench's `wire_read` workload (which
+/// keep connections alive across requests).
 pub struct ClientConn {
     stream: TcpStream,
     buf: Vec<u8>,

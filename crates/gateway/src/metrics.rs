@@ -191,9 +191,8 @@ struct RouteSlot {
     latency: Histogram,
 }
 
-/// A point-in-time copy of one route's counters, for embedders (the
-/// bench loadgen study) that want numbers rather than the `/metrics`
-/// JSON document.
+/// A point-in-time copy of one route's counters, for embedders that
+/// want numbers rather than the `/metrics` JSON document.
 #[derive(Debug, Clone)]
 pub struct RouteStats {
     /// The route's stable label ([`Route::label`]).

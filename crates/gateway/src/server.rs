@@ -106,7 +106,7 @@ impl Gateway {
             .expect("bound listener has an address")
     }
 
-    /// The shared metrics registry (for tests and the loadgen report).
+    /// The shared metrics registry (for tests and embedders).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
     }

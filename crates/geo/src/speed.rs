@@ -18,8 +18,7 @@
 //!
 //! The published fit constant is typeset as `10⁷·(ln d − 3)`; the figure's
 //! axis units are not recoverable from the text, so the default `A` here is
-//! refit to the paper's own worked example (4 ms → dmin ≈ 299 km). See
-//! DESIGN.md §5.
+//! refit to the paper's own worked example (4 ms → dmin ≈ 299 km).
 
 use serde::{Deserialize, Serialize};
 

@@ -120,7 +120,7 @@ mod tests {
         // The qualitative Fig. 2a claim: the majority of wide-area facility
         // pairs sit beyond the 10 ms "remoteness threshold" (the paper's
         // NET-IX measured 87 %; our 16 synthetic sites are geographically
-        // tighter, see EXPERIMENTS.md).
+        // tighter, so the bar below is 45 %, not 87 %).
         let frac = m.fraction_above_ms(10.0);
         assert!(frac > 0.45, "only {frac} of NET-IX pairs above 10 ms");
         // And some close pairs exist below 10 ms (the FRA–PRA 7 ms case).
