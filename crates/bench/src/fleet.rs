@@ -31,7 +31,7 @@
 //! The report's `identity` flag re-runs the first baseline cell and
 //! recomputes the first scenario cell as a **one-shot** assemble +
 //! pipeline on the scenario world, requiring both to match the fleet's
-//! results exactly; CI's `sweep-smoke` step gates on it.
+//! results exactly; CI's `sweep-fleet` job gates on it.
 //!
 //! ## Grid-spec syntax
 //!
@@ -64,6 +64,11 @@ use std::time::Instant;
 
 /// Schema tag of the standalone [`FleetReport`].
 pub const FLEET_SCHEMA: &str = "opeer-fleet/1";
+
+/// Schema tag of `BENCH_sweep.json` ([`SweepBenchReport`]). It is the
+/// tag of the scaling report this file once shared a schema with, kept
+/// so that readers of the file see the same bytes.
+pub const BENCH_SCHEMA: &str = "opeer-bench-pipeline/10";
 
 /// One knob point of the grid: a label (stable across runs, used for
 /// ordering and band grouping) and the world configuration it denotes.
@@ -896,21 +901,22 @@ pub fn run_sweep(grid: &SweepGrid, par: &ParallelConfig) -> Result<FleetReport, 
     })
 }
 
-/// The BENCH-file wrapper: schema v9's `sweep` section.
+/// The `BENCH_sweep.json` wrapper: the fleet report as its `sweep`
+/// section.
 #[derive(Debug, Clone, Serialize)]
 #[serde(crate = "serde")]
 pub struct SweepBenchReport {
-    /// BENCH schema tag (shared with `BENCH_pipeline.json`).
+    /// BENCH schema tag ([`BENCH_SCHEMA`]).
     pub schema: &'static str,
     /// The fleet result.
     pub sweep: FleetReport,
 }
 
 impl SweepBenchReport {
-    /// Wraps a fleet report under the v9 BENCH schema.
+    /// Wraps a fleet report under [`BENCH_SCHEMA`].
     pub fn new(sweep: FleetReport) -> Self {
         SweepBenchReport {
-            schema: crate::scaling::BENCH_SCHEMA,
+            schema: BENCH_SCHEMA,
             sweep,
         }
     }

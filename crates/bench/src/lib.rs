@@ -10,10 +10,8 @@
 //! cargo run --release -p opeer-bench --bin run_experiments -- --scale paper --out target/experiments
 //! ```
 //!
-//! Criterion benchmarks (`cargo bench -p opeer-bench`) time the substrate
-//! hot paths, the pipeline stages, measurement assembly, and every
-//! experiment at test scale. The end-to-end benchmark of record is
-//! `perfbench/` (`BENCHMARK.json`), which calls [`run_sweep`].
+//! The end-to-end benchmark of record is `perfbench/` (`BENCHMARK.json`),
+//! which calls [`run_sweep`].
 //!
 //! ## Key types and entry points
 //!
@@ -21,11 +19,6 @@
 //!   pipeline result, and baseline, shared by every experiment.
 //! * [`run_all`] — renders each experiment into a [`Rendered`]
 //!   (`.txt` + `.json` pair) for the `run_experiments` binary.
-//! * [`run_scaling_study`] / [`ScalingReport`] — the engine scaling
-//!   study behind `run_experiments --bench-pipeline`: assembly,
-//!   pipeline and end-to-end thread sweeps with byte-identity gates,
-//!   serialised as `BENCH_pipeline.json` (schema documented in the
-//!   README).
 //! * [`run_sweep`] / [`SweepGrid`] / [`FleetReport`] — the multi-world
 //!   sweep fleet behind `run_experiments --sweep GRIDSPEC`: seed ×
 //!   `WorldConfig`-knob grids fanned one world per shard, optional
@@ -33,26 +26,18 @@
 //!   against their baselines, aggregated into mean ± 95 % confidence
 //!   bands, serialised as `BENCH_sweep.json` (the `sweep` section)
 //!   with an identity gate and thread/permutation-invariant bytes.
-//! * [`compare_reports`] / [`Comparison`] — the schema-tolerant
-//!   regression diff behind `run_experiments --compare-bench`: two
-//!   `BENCH_pipeline.json` files compared phase by phase, failing on
-//!   any >20 % mean wall-clock regression (CI's perf gate).
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod experiments;
 pub mod fleet;
-pub mod scaling;
 pub mod session;
 
-pub use compare::{compare_reports, Comparison, Regression, DEFAULT_TOLERANCE};
 pub use experiments::{run_all, Rendered};
 pub use fleet::{
     run_sweep, Band, BandGroup, CellReport, CellStats, FleetReport, KnobPoint, SweepBenchReport,
     SweepGrid, FLEET_SCHEMA,
 };
-pub use scaling::{run_scaling_study, PhaseScaling, ScalingReport, DEFAULT_THREAD_SWEEP};
 pub use session::Session;
 
 /// The gateway under load: keep-alive clients mixing batched queries,

@@ -323,7 +323,8 @@ impl<'s, 'w> SnapshotArchive<'s, 'w> {
 
     /// [`SnapshotArchive::apply`], returning the service's full
     /// [`crate::service::ApplyReport`] (publish dirty sets and publish
-    /// wall-clock included) — what the memory study instruments.
+    /// wall-clock included) — what the retention-capped stream test in
+    /// `tests/snapshot_sharing.rs` and perfbench's `epoch_stream` read.
     pub fn apply_reported(&self, delta: InputDelta) -> crate::service::ApplyReport {
         let report = self.service.apply_reported(delta);
         let mut inner = self.inner.write().expect("archive index poisoned");

@@ -209,9 +209,11 @@ impl InputDelta {
 }
 
 /// How much work one [`IncrementalPipeline::apply`] actually did, in
-/// shard units along each step's axis. Recorded into the
-/// `BENCH_pipeline.json` schema-v3 `streaming` section so the saving of
-/// a delta re-run over a full re-run is visible per push.
+/// shard units along each step's axis. Reported per publish in
+/// [`ApplyReport::dirty`](crate::service::ApplyReport::dirty) and kept
+/// per archived epoch in
+/// [`DirtyRecord`](crate::archive::DirtyRecord), so the saving of a
+/// delta re-run over a full re-run stays visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirtyCounts {
     /// Step-1 IXP shards recomputed (registry revisions only).

@@ -1169,8 +1169,9 @@ impl Snapshot {
 
     /// Structural equality over partition *contents* (epoch included),
     /// ignoring whether partitions are shared or rebuilt — the
-    /// byte-identity check the sharing tests and the memory study run
-    /// against a non-shared [`Snapshot::build_full`] baseline.
+    /// byte-identity check the sharing tests (`tests/snapshot_sharing.rs`,
+    /// the retention-capped stream included) run against a non-shared
+    /// [`Snapshot::build_full`] baseline.
     pub fn content_eq(&self, other: &Snapshot) -> bool {
         self.epoch == other.epoch
             && *self.registry == *other.registry

@@ -241,7 +241,8 @@ impl WorldConfig {
     /// host, a fraction of the ~0.6 s two-thread cold build that measures
     /// it. Sized for the parallel engine era — both
     /// measurement assembly and inference now shard across the worker
-    /// pool, so the scaling study runs at the member scale the paper
+    /// pool, so the identity and speedup tests in
+    /// `tests/parallel_equivalence.rs` run at the member scale the paper
     /// measured instead of the half-scale world the sequential
     /// assembler could afford.
     pub fn large(seed: u64) -> Self {
@@ -260,9 +261,9 @@ impl WorldConfig {
     /// tail of small IXPs and background ASes. Sized to keep the
     /// per-thread shards of the pipeline phase busy well past 8
     /// workers, so the scaling curve measures the engine rather than
-    /// shard-scheduling overhead. Generation takes ~0.5 s on a 2-vCPU
-    /// host. Expensive — minutes of assembly on a laptop-class core; the
-    /// CI bench runs it only on schedule.
+    /// shard-scheduling overhead. On a 2-vCPU host generation takes
+    /// ~0.5 s and sequential assembly ~2.1 s; CI's release identity test
+    /// (`parallel_equals_sequential_at_scale`) runs it on every CI run.
     pub fn xlarge(seed: u64) -> Self {
         WorldConfig {
             seed,

@@ -249,7 +249,7 @@ fn pipeline_speedup_floor() {
             .map(|_| {
                 let arg = setup();
                 let t0 = std::time::Instant::now();
-                let out = run(arg);
+                let out = std::hint::black_box(run(arg));
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                 drop(out);
                 ms
