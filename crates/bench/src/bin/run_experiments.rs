@@ -346,12 +346,21 @@ mod tests {
 
     #[test]
     fn duplicate_value_flag_is_rejected() {
-        for (flags, flag) in [
-            (&["--seed", "1", "--seed", "2"][..], "--seed"),
-            (&["--sweep", "base=tiny", "--sweep", "seeds=1"], "--sweep"),
+        let err = parse_from(&argv(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.contains("duplicate flag --seed"), "{err}");
+    }
+
+    /// No flag is boolean any more; the mode flag `--sweep` is the one a
+    /// repeat must not re-select. The repeat is refused before its value
+    /// is read, so a bare second `--sweep` is a duplicate too.
+    #[test]
+    fn duplicate_boolean_flag_is_rejected() {
+        for flags in [
+            &["--sweep", "base=tiny", "--sweep", "seeds=1"][..],
+            &["--sweep", "base=tiny", "--sweep"],
         ] {
             let err = parse_from(&argv(flags)).unwrap_err();
-            assert!(err.contains(&format!("duplicate flag {flag}")), "{err}");
+            assert!(err.contains("duplicate flag --sweep"), "{flags:?}: {err}");
         }
     }
 
