@@ -11,9 +11,9 @@
 //!   constant-zero IP-ID are unresolvable, exactly like in the wild.
 //! * **iffinder** — a fraction of routers answer probes to one interface
 //!   from another; such a reply aliases the pair directly.
-//! * **kapar-like closure** — an optional extension that merges groups
-//!   across graph-analysis hints (adjacent interfaces in traceroutes),
-//!   raising coverage at a configurable false-merge cost.
+//!
+//! Like the paper, it has no kapar-style closure over graph-analysis
+//! hints: that raises coverage at a false-merge cost.
 
 use opeer_measure::ipid::{probe_train, IpIdSample};
 use opeer_topology::routing::stable_hash;
@@ -32,8 +32,6 @@ pub struct AliasConfig {
     /// Maximum plausible counter velocity (IP-ID increments per second);
     /// MBT rejects merges that would require more.
     pub max_velocity: f64,
-    /// Apply the kapar-like closure over the provided hints.
-    pub use_kapar: bool,
     /// Probability that a router replies to iffinder probes from its
     /// primary interface.
     pub p_iffinder: f64,
@@ -46,7 +44,6 @@ impl Default for AliasConfig {
             samples: 12,
             interval_s: 2.0,
             max_velocity: 3000.0,
-            use_kapar: false,
             p_iffinder: 0.3,
         }
     }
@@ -257,45 +254,6 @@ pub fn resolve(world: &World, ifaces: &[IfaceId], cfg: &AliasConfig) -> AliasSet
     AliasSets::from_groups(out)
 }
 
-/// Kapar-like closure: merges alias groups across `hints` (pairs of
-/// interfaces graph analysis believes share a router). Raises coverage
-/// but can merge wrongly — callers opting in accept the paper's stated
-/// accuracy cost.
-pub fn resolve_with_hints(
-    world: &World,
-    ifaces: &[IfaceId],
-    hints: &[(IfaceId, IfaceId)],
-    cfg: &AliasConfig,
-) -> AliasSets {
-    let base = resolve(world, ifaces, cfg);
-    let mut groups = base.groups.clone();
-    for &(a, b) in hints {
-        let ga = groups.iter().position(|g| g.contains(&a));
-        let gb = groups.iter().position(|g| g.contains(&b));
-        match (ga, gb) {
-            (Some(x), Some(y)) if x != y => {
-                let moved = groups[y.max(x)].clone();
-                let keep = y.min(x);
-                groups[keep].extend(moved);
-                groups[keep].sort();
-                groups.remove(y.max(x));
-            }
-            (Some(x), None) => {
-                groups[x].push(b);
-                groups[x].sort();
-            }
-            (None, Some(y)) => {
-                groups[y].push(a);
-                groups[y].sort();
-            }
-            (None, None) => groups.push(if a < b { vec![a, b] } else { vec![b, a] }),
-            _ => {}
-        }
-    }
-    groups.sort();
-    AliasSets::from_groups(groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,26 +375,6 @@ mod tests {
         let a = mk(&[(0.0, 65400), (2.0, 65600u32 as u16), (4.0, 264)]);
         let b = mk(&[(1.0, 65500), (3.0, 164), (5.0, 364)]);
         assert!(mbt_shared_counter(&a, &b, 1000.0));
-    }
-
-    #[test]
-    fn kapar_hints_merge_groups() {
-        let w = world();
-        let ifaces = router_with(&w, true, 2).expect("shared-counter router");
-        // An unrelated interface, unmergeable by MBT.
-        let outsider = (0..w.interfaces.len())
-            .map(IfaceId::from_index)
-            .find(|&i| w.interfaces[i.index()].responds_to_ping && !ifaces.contains(&i))
-            .expect("outsider interface");
-        let cfg = AliasConfig {
-            p_iffinder: 0.0,
-            ..Default::default()
-        };
-        let all = vec![ifaces[0], ifaces[1], outsider];
-        let base = resolve(&w, &all, &cfg);
-        assert!(!base.aliased(ifaces[0], outsider));
-        let extended = resolve_with_hints(&w, &all, &[(ifaces[0], outsider)], &cfg);
-        assert!(extended.aliased(ifaces[0], outsider), "hint ignored");
     }
 
     #[test]

@@ -720,13 +720,12 @@ pub fn run_sweep(grid: &SweepGrid, par: &ParallelConfig) -> Result<FleetReport, 
         cfg.seed = seed;
         let t = Instant::now();
         let world = cfg.generate();
-        let result = {
+        let (result, stats) = {
             let input = InferenceInput::assemble(&world, seed);
-            run_pipeline(&input, &pipe_cfg)
+            let result = run_pipeline(&input, &pipe_cfg);
+            let stats = cell_stats(&world, &input.observed, &result);
+            (result, stats)
         };
-        let (registry_cfg, _, _) = default_configs(seed);
-        let (observed, _table1) = build_observed_world(&world, &registry_cfg);
-        let stats = cell_stats(&world, &observed, &result);
         BaseCell {
             wall_ms: ms(t),
             world,
@@ -966,6 +965,19 @@ mod tests {
             "base",
         ] {
             assert!(SweepGrid::parse(bad).is_err(), "`{bad}` must be rejected");
+        }
+        // Knob values that parse but fail `WorldConfig::validate`: the
+        // error names the knob point that failed.
+        for (bad, label) in [
+            ("reseller=1.5", "reseller=1.5"),
+            ("reseller=-0.1", "reseller=-0.1"),
+            ("scale=0", "scale=0"),
+        ] {
+            let err = SweepGrid::parse(bad).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("knob `{label}`: ")),
+                "`{bad}` gave `{err}`"
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //! provider→customer edges, the AS itself included).
 
 use opeer_net::Asn;
-use opeer_topology::{AsId, World};
+use opeer_topology::World;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -160,14 +160,6 @@ pub fn customer_cones(rels: &AsRelationships) -> BTreeMap<Asn, usize> {
         cone_of(asn, &customers, &mut cone_sets, &mut in_progress);
     }
     cone_sets.into_iter().map(|(a, s)| (a, s.len())).collect()
-}
-
-/// Convenience: cone size of one world AS (1 for stubs).
-pub fn cone_size_of(world: &World, cones: &BTreeMap<Asn, usize>, asid: AsId) -> usize {
-    cones
-        .get(&world.ases[asid.index()].asn)
-        .copied()
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

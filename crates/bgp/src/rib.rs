@@ -20,7 +20,6 @@ use crate::mrt::{self, MrtRecord, PeerEntry, PeerIndexTable, RibEntryRecord, Rib
 use opeer_net::{Asn, IpToAsMap, Ipv4Prefix};
 use opeer_topology::{AsId, RoutingOracle, World};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// One RIB route.
@@ -174,17 +173,6 @@ impl Collector {
             rib,
         });
         (collector, skipped)
-    }
-
-    /// Per-origin route counts (diagnostics).
-    pub fn origin_histogram(&self) -> BTreeMap<Asn, usize> {
-        let mut h = BTreeMap::new();
-        for e in &self.rib {
-            if let Some(o) = e.origin() {
-                *h.entry(o).or_insert(0) += 1;
-            }
-        }
-        h
     }
 }
 

@@ -14,8 +14,8 @@
 //! On that index the archive serves:
 //!
 //! * **time travel** — [`SnapshotArchive::at`] /
-//!   [`SnapshotArchive::as_of`] / [`SnapshotArchive::range`] resolve
-//!   epochs to retained snapshots, whose typed queries
+//!   [`SnapshotArchive::range`] resolve epochs to retained snapshots,
+//!   whose typed queries
 //!   ([`Snapshot::verdict`], [`Snapshot::asn_report`],
 //!   [`Snapshot::ixp_report`], [`Snapshot::explain`]) then answer *as
 //!   of* that epoch;
@@ -418,29 +418,6 @@ impl<'s, 'w> SnapshotArchive<'s, 'w> {
         Self::resolve(&inner.epochs, epoch).map(|pos| Arc::clone(&inner.epochs[pos].snapshot))
     }
 
-    /// The newest archived snapshot at or before `epoch` (the as-of
-    /// lookup). Errors only when `epoch` precedes the whole archive or
-    /// lies in the future.
-    pub fn as_of(&self, epoch: u64) -> Result<Arc<Snapshot>, ArchiveError> {
-        let inner = self.inner.read().expect("archive index poisoned");
-        let (first, latest) = Self::bounds(&inner.epochs)?;
-        if epoch > latest {
-            return Err(ArchiveError::FutureEpoch {
-                requested: epoch,
-                latest,
-            });
-        }
-        match inner.epochs.binary_search_by_key(&epoch, |e| e.epoch) {
-            Ok(pos) => Ok(Arc::clone(&inner.epochs[pos].snapshot)),
-            Err(0) => Err(ArchiveError::NotArchived {
-                requested: epoch,
-                first,
-                latest,
-            }),
-            Err(pos) => Ok(Arc::clone(&inner.epochs[pos - 1].snapshot)),
-        }
-    }
-
     /// Every archived `(epoch, snapshot)` within the inclusive range,
     /// ascending by epoch. Epochs in the range that were never archived
     /// are simply absent; an empty result is not an error.
@@ -668,16 +645,6 @@ mod tests {
             assert!(Arc::ptr_eq(&archived, snap), "epoch {e} is a copy");
             assert_eq!(archived.epoch(), e as u64);
         }
-
-        // as_of() is exact on archived epochs and floors in between /
-        // errors outside.
-        let as_of = archive.as_of(n - 1).expect("latest archived");
-        assert_eq!(as_of.epoch(), n - 1);
-        assert!(matches!(
-            archive.as_of(n + 5),
-            Err(ArchiveError::FutureEpoch { requested, latest })
-                if requested == n + 5 && latest == n - 1
-        ));
 
         // range(): inclusive, ascending, clipped.
         let mid = archive.range(1..=n - 2);

@@ -514,11 +514,9 @@ impl<'w> IncrementalPipeline<'w> {
     fn reset(&mut self, threads: usize) {
         let input = &self.input;
         let interns = &input.interns;
-        let mut lan_ifaces: BTreeMap<Asn, Vec<(Ipv4Addr, usize)>> = BTreeMap::new();
         let mut members: Vec<(AddrId, Unclassified)> = Vec::with_capacity(interns.addrs.len());
         for (ixp, x) in input.observed.ixps.iter().enumerate() {
             for (&addr, &asn) in &x.interfaces {
-                lan_ifaces.entry(asn).or_default().push((addr, ixp));
                 let id = interns
                     .addr_id(addr)
                     .expect("the input interns every member interface");
@@ -536,12 +534,7 @@ impl<'w> IncrementalPipeline<'w> {
         self.members = members.into_iter().map(|(_, m)| m).collect();
         let n_ids = self.members.len();
 
-        self.evidence = Step4Evidence {
-            data: step4::ixp_data(input),
-            as_pairs: BTreeMap::new(),
-            crossings: BTreeMap::new(),
-            lan_ifaces,
-        };
+        self.evidence = Step4Evidence::from_registry(input);
         self.ev5 = PrivateEvidence::default();
         self.observations.clear();
         self.step3.clear();

@@ -58,7 +58,7 @@
 //! * [`archive::SnapshotArchive`] — the longitudinal layer over the
 //!   service: every published epoch's snapshot retained (Arc-shared)
 //!   behind an epoch index, resolving epochs to snapshots
-//!   ([`archive::SnapshotArchive::at`], as-of and range lookups) whose
+//!   ([`archive::SnapshotArchive::at`] and range lookups) whose
 //!   queries answer as of that epoch, plus per-IXP remote-share trend
 //!   lines, per-ASN verdict churn, and
 //!   per-epoch dirty-shard accounting; driven by

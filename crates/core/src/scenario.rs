@@ -149,17 +149,12 @@ mod tests {
     use opeer_topology::{Scenario, WorldConfig};
 
     fn tiny() -> World {
-        WorldConfig::builder()
-            .tweak(|c| {
-                *c = WorldConfig::small(5);
-                c.scale = 0.02;
-                c.n_small_ixps = 6;
-                c.n_background_ases = 50;
-                c.n_switchers = 2;
-            })
-            .build()
-            .unwrap()
-            .generate()
+        let mut cfg = WorldConfig::small(5);
+        cfg.scale = 0.02;
+        cfg.n_small_ixps = 6;
+        cfg.n_background_ases = 50;
+        cfg.n_switchers = 2;
+        cfg.generate()
     }
 
     #[test]

@@ -38,8 +38,10 @@
 //!   the address-sorted result vectors themselves plus one sorted side
 //!   index for the residual records;
 //! * by member ASN → that member's interfaces, step-4 router findings,
-//!   and colocation facilities ([`Snapshot::asn_report`]) — CSR rows
-//!   over the input's interned [`crate::intern::AsnId`] universe;
+//!   and colocation facilities ([`Snapshot::asn_report`]) — rows over
+//!   the input's interned [`crate::intern::AsnId`] universe: interface
+//!   records and findings in per-ASN-range segments, colocation in the
+//!   registry partition;
 //! * per-IXP rollups — verdict tallies, per-step [`StepCounts`], remote
 //!   share, step contributions — computed once
 //!   ([`Snapshot::ixp_report`], [`Snapshot::ixp_rollups`],
@@ -614,8 +616,10 @@ fn contributions_of(ixps: &[Arc<IxpRollup>]) -> BTreeMap<usize, StepCounts> {
 /// "memory layout" section of ARCHITECTURE.md): point lookups binary
 /// search the result vectors directly — `result.inferences` and
 /// `result.step3_details` are already address-sorted, so they *are*
-/// their own index — and the per-ASN families are CSR rows over the
-/// input's interned [`crate::intern::AsnId`] universe.
+/// their own index — and the per-ASN families are rows over the input's
+/// interned [`crate::intern::AsnId`] universe: `AsnSegment` rows of
+/// `MemberRecord`s and step-4 findings, plus the registry partition's
+/// colocation rows.
 pub struct Snapshot {
     epoch: u64,
     /// Registry-derived partition (interns + colocation rows).

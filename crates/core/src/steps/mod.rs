@@ -18,7 +18,7 @@ use crate::types::{Inference, Step, Verdict};
 use opeer_net::Asn;
 use std::net::Ipv4Addr;
 
-/// Tail length at which the sorted-index vectors are re-normalized.
+/// Tail length at which the sorted index vector is re-normalized.
 /// Lookups scan at most this many unsorted slots after the binary
 /// search, and each normalization is a linear merge, so inserts stay
 /// amortized O(log n) with no per-insert memmove.
@@ -29,21 +29,16 @@ const TAIL_MAX: usize = 64;
 /// Struct-of-arrays layout: each recorded inference occupies one *slot*
 /// across the parallel columns (`addrs`/`ixps`/`asns`/`verdicts`/
 /// `steps`/`evidence`). Columns are append-only — a slot never moves —
-/// so ordering is carried entirely by two index vectors:
-///
-/// * `order`: slot ids sorted by interface address — a sorted prefix
-///   (`..sorted_len`) plus an unsorted tail of at most `TAIL_MAX`
-///   recent inserts;
-/// * `by_asn`: `(asn, slot)` pairs sorted by `(asn, address)`, same
-///   prefix+tail scheme, serving [`Ledger::verdicts_of_asn`] without a
-///   full scan.
+/// so ordering is carried entirely by one index vector, `order`: slot
+/// ids sorted by interface address — a sorted prefix (`..sorted_len`)
+/// plus an unsorted tail of at most `TAIL_MAX` recent inserts.
 ///
 /// Lookups binary-search the sorted prefix and linearly scan the short
-/// tail; both tails are merged back into their prefixes whenever they
-/// reach `TAIL_MAX`. Iteration ([`Ledger::all`]) and the per-ASN
-/// index always present **address order** — exactly the order the old
-/// `BTreeMap`-backed implementation produced — so every downstream
-/// merge and report is byte-identical to the seed layout.
+/// tail; the tail is merged back into the prefix whenever it reaches
+/// `TAIL_MAX`. Iteration ([`Ledger::all`]) always presents **address
+/// order** — exactly the order the old `BTreeMap`-backed implementation
+/// produced — so every downstream merge and report is byte-identical to
+/// the seed layout.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     addrs: Vec<Ipv4Addr>,
@@ -54,8 +49,6 @@ pub struct Ledger {
     evidence: Vec<String>,
     order: Vec<u32>,
     sorted_len: usize,
-    by_asn: Vec<(Asn, u32)>,
-    by_asn_sorted_len: usize,
 }
 
 impl Ledger {
@@ -91,8 +84,8 @@ impl Ledger {
         }
     }
 
-    /// Merges both index tails back into their sorted prefixes (linear,
-    /// out of place; slots themselves never move).
+    /// Merges the index tail back into the sorted prefix (linear, out of
+    /// place; slots themselves never move).
     fn normalize(&mut self) {
         if self.sorted_len < self.order.len() {
             let addrs = &self.addrs;
@@ -103,17 +96,6 @@ impl Ledger {
                 |&s| addrs[s as usize],
             );
             self.sorted_len = self.order.len();
-        }
-        if self.by_asn_sorted_len < self.by_asn.len() {
-            let addrs = &self.addrs;
-            self.by_asn[self.by_asn_sorted_len..]
-                .sort_unstable_by_key(|&(asn, s)| (asn, addrs[s as usize]));
-            self.by_asn = merge_sorted(
-                &self.by_asn[..self.by_asn_sorted_len],
-                &self.by_asn[self.by_asn_sorted_len..],
-                |&(asn, s)| (asn, addrs[s as usize]),
-            );
-            self.by_asn_sorted_len = self.by_asn.len();
         }
     }
 
@@ -181,7 +163,7 @@ impl Ledger {
         recorded
     }
 
-    /// Appends one record to every column and both index tails.
+    /// Appends one record to every column and the index tail.
     fn push(&mut self, inf: Inference) {
         let slot = self.addrs.len() as u32;
         self.addrs.push(inf.addr);
@@ -191,7 +173,6 @@ impl Ledger {
         self.steps.push(inf.step);
         self.evidence.push(inf.evidence);
         self.order.push(slot);
-        self.by_asn.push((inf.asn, slot));
     }
 
     /// Merges another ledger into this one, preserving the
@@ -261,41 +242,6 @@ impl Ledger {
     pub fn is_empty(&self) -> bool {
         self.addrs.is_empty()
     }
-
-    /// Verdicts already made for one member ASN, with their IXPs, in
-    /// interface-address order. Served from the per-ASN index — a
-    /// binary-searched range of the sorted prefix merged with whatever
-    /// matches sit in the short insertion tail; never a full scan.
-    pub fn verdicts_of_asn(&self, asn: Asn) -> Vec<(usize, Verdict)> {
-        let prefix = &self.by_asn[..self.by_asn_sorted_len];
-        let start = prefix.partition_point(|&(a, _)| a < asn);
-        let end = prefix.partition_point(|&(a, _)| a <= asn);
-        let mut tail: Vec<u32> = self.by_asn[self.by_asn_sorted_len..]
-            .iter()
-            .filter(|&&(a, _)| a == asn)
-            .map(|&(_, s)| s)
-            .collect();
-        if tail.is_empty() {
-            return prefix[start..end]
-                .iter()
-                .map(|&(_, s)| (self.ixps[s as usize], self.verdicts[s as usize]))
-                .collect();
-        }
-        tail.sort_unstable_by_key(|&s| self.addrs[s as usize]);
-        let merged = merge_sorted(
-            // prefix range carries slots already sorted by address
-            &prefix[start..end]
-                .iter()
-                .map(|&(_, s)| s)
-                .collect::<Vec<u32>>(),
-            &tail,
-            |&s| self.addrs[s as usize],
-        );
-        merged
-            .into_iter()
-            .map(|s| (self.ixps[s as usize], self.verdicts[s as usize]))
-            .collect()
-    }
 }
 
 /// Merges two key-sorted slices (disjoint keys) into one sorted vec.
@@ -345,31 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_of_asn_collects() {
-        let mut ledger = Ledger::new();
-        ledger.record(inf("185.0.0.10", Verdict::Remote));
-        ledger.record(inf("185.0.0.11", Verdict::Local));
-        assert_eq!(ledger.verdicts_of_asn(Asn::new(1)).len(), 2);
-        assert!(ledger.verdicts_of_asn(Asn::new(2)).is_empty());
-    }
-
-    #[test]
-    fn asn_index_matches_full_scan_order() {
-        let mut ledger = Ledger::new();
-        // Inserted out of address order; the index must return address
-        // order, exactly like the old full-scan implementation.
-        ledger.record(inf("185.0.0.30", Verdict::Remote));
-        ledger.record(inf("185.0.0.10", Verdict::Local));
-        ledger.record(inf("185.0.0.20", Verdict::Remote));
-        let scan: Vec<(usize, Verdict)> = ledger
-            .all()
-            .filter(|i| i.asn == Asn::new(1))
-            .map(|i| (i.ixp, i.verdict))
-            .collect();
-        assert_eq!(ledger.verdicts_of_asn(Asn::new(1)), scan);
-    }
-
-    #[test]
     fn record_distinct_matches_one_record_per_inference() {
         let mut one_by_one = Ledger::new();
         one_by_one.record(inf("185.0.0.40", Verdict::Local));
@@ -391,10 +312,6 @@ mod tests {
         assert_eq!(
             batched.all().collect::<Vec<_>>(),
             one_by_one.all().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            batched.verdicts_of_asn(Asn::new(1)),
-            one_by_one.verdicts_of_asn(Asn::new(1))
         );
         assert_eq!(batched.len(), one_by_one.len());
     }
@@ -428,8 +345,7 @@ mod tests {
             reversed.verdict("185.0.0.10".parse().expect("valid")),
             Some(Verdict::Local)
         );
-        // The per-ASN index survives the merge.
-        assert_eq!(reversed.verdicts_of_asn(Asn::new(1)).len(), 2);
+        assert_eq!(reversed.len(), 2);
     }
 
     #[test]
@@ -468,14 +384,6 @@ mod tests {
             let got = ledger.get(*addr).expect("recorded");
             assert_eq!(got.addr, *addr);
             assert!(ledger.known(*addr), "entry {k} known");
-        }
-        for asn in 0..5u32 {
-            let scan: Vec<(usize, Verdict)> = ledger
-                .all()
-                .filter(|i| i.asn == Asn::new(asn))
-                .map(|i| (i.ixp, i.verdict))
-                .collect();
-            assert_eq!(ledger.verdicts_of_asn(Asn::new(asn)), scan, "asn {asn}");
         }
     }
 }

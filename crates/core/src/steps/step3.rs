@@ -22,9 +22,8 @@ use crate::input::InferenceInput;
 use crate::steps::step2::RttObservation;
 use crate::steps::Ledger;
 use crate::types::{Inference, Step, Verdict};
-use opeer_geo::{Annulus, GeoPoint, SpeedModel};
+use opeer_geo::{Annulus, SpeedModel};
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -44,68 +43,6 @@ pub struct Step3Detail {
     pub feasible_ixp_facilities: usize,
     /// Verdict (`None` = no inference at this step).
     pub verdict: Option<Verdict>,
-}
-
-/// Precomputed VP→facility distance rows for the batched step-3 path.
-///
-/// A ping campaign probes thousands of targets from a handful of
-/// vantage-point locations, but every feasibility check needs the
-/// distance from a *facility* to the observation's VP. Instead of
-/// recomputing the inverse geodesic per (observation, facility) probe,
-/// this table holds one dense row per **unique VP location**: distances
-/// to every observed facility, contiguous in facility order, filled by
-/// [`opeer_geo::batch::distances_km`].
-///
-/// Each row entry is produced by the exact
-/// `facilities[f].location.distance_km(&vp)` call the per-lookup code
-/// makes — same callee, same argument order — so evaluating against a
-/// row is bit-identical to evaluating unbatched (the equivalence suites
-/// enforce this).
-#[derive(Debug, Clone, Default)]
-pub struct FacilityDistances {
-    index: BTreeMap<(u64, u64), u32>,
-    rows: Vec<Vec<f64>>,
-}
-
-/// IEEE-bit key for a coordinate pair: exact, hashable location
-/// identity (the VP locations are generated values, compared exactly).
-fn location_key(p: &GeoPoint) -> (u64, u64) {
-    (p.lat().to_bits(), p.lon().to_bits())
-}
-
-impl FacilityDistances {
-    /// Builds the table: one row per unique VP location of the
-    /// observations, in first-seen order (deterministic: callers
-    /// iterate consolidated observations in address order).
-    pub fn build<'a>(
-        input: &InferenceInput<'_>,
-        observations: impl IntoIterator<Item = &'a RttObservation>,
-    ) -> Self {
-        let origins: Vec<GeoPoint> = input
-            .observed
-            .facilities
-            .iter()
-            .map(|f| f.location)
-            .collect();
-        let mut table = Self::default();
-        for o in observations {
-            let next = table.rows.len() as u32;
-            if let Entry::Vacant(slot) = table.index.entry(location_key(&o.vp_location)) {
-                slot.insert(next);
-                table
-                    .rows
-                    .push(opeer_geo::batch::distances_km(&origins, &o.vp_location));
-            }
-        }
-        table
-    }
-
-    /// The distance row of a VP location, if precomputed.
-    pub fn row(&self, vp: &GeoPoint) -> Option<&[f64]> {
-        self.index
-            .get(&location_key(vp))
-            .map(|&i| self.rows[i as usize].as_slice())
-    }
 }
 
 /// Applies step 3 to all consolidated observations. Returns per-target
@@ -128,11 +65,9 @@ pub fn apply_with_rounding(
     ledger: &mut Ledger,
     honor_rounding: bool,
 ) -> Vec<Step3Detail> {
-    let dists = FacilityDistances::build(input, observations.values());
     let mut details = Vec::with_capacity(observations.len());
     for o in observations.values() {
-        let (detail, inference) =
-            evaluate_observation_batched(input, o, speed, honor_rounding, &dists);
+        let (detail, inference) = evaluate_observation(input, o, speed, honor_rounding);
         if let Some(inf) = inference {
             ledger.record(inf);
         }
@@ -141,53 +76,16 @@ pub fn apply_with_rounding(
     details
 }
 
-/// Evaluates one consolidated observation: the per-target unit of work.
-/// Pure — reads only the input and the observation, never the ledger —
-/// which is what lets the parallel engine shard step 3 by target and
-/// still merge to a byte-identical result.
+/// Evaluates one consolidated observation: the per-target unit of work
+/// that [`apply_with_rounding`] runs in target order and the incremental
+/// pipeline shards by target. Pure — reads only the input and the
+/// observation, never the ledger — so any sharding merges to the same
+/// result.
 pub fn evaluate_observation(
     input: &InferenceInput<'_>,
     o: &RttObservation,
     speed: &SpeedModel,
     honor_rounding: bool,
-) -> (Step3Detail, Option<Inference>) {
-    evaluate_inner(input, o, speed, honor_rounding, |f| {
-        input.observed.facilities[f]
-            .location
-            .distance_km(&o.vp_location)
-    })
-}
-
-/// Like [`evaluate_observation`], reading VP→facility distances from a
-/// precomputed [`FacilityDistances`] row instead of recomputing the
-/// inverse geodesic per probe. Bit-identical to the unbatched variant:
-/// the row holds the very values the per-lookup calls would produce.
-/// Falls back to per-lookup computation if the row is missing (it never
-/// is when the table was built over the same observation set).
-pub fn evaluate_observation_batched(
-    input: &InferenceInput<'_>,
-    o: &RttObservation,
-    speed: &SpeedModel,
-    honor_rounding: bool,
-    dists: &FacilityDistances,
-) -> (Step3Detail, Option<Inference>) {
-    match dists.row(&o.vp_location) {
-        Some(row) => evaluate_inner(input, o, speed, honor_rounding, |f| row[f]),
-        None => evaluate_observation(input, o, speed, honor_rounding),
-    }
-}
-
-/// The shared step-3 decision procedure, parameterized over how the
-/// facility→VP distance is obtained (`dist_of(f)` = distance in km from
-/// facility `f` to the observation's VP). Both providers call the same
-/// pure geodesic on the same operands, so the verdicts and evidence
-/// strings cannot differ between them.
-fn evaluate_inner(
-    input: &InferenceInput<'_>,
-    o: &RttObservation,
-    speed: &SpeedModel,
-    honor_rounding: bool,
-    dist_of: impl Fn(usize) -> f64,
 ) -> (Step3Detail, Option<Inference>) {
     let annulus = if o.rounded && honor_rounding {
         speed.feasible_annulus_rounded_ms(o.min_rtt_ms)
@@ -195,7 +93,12 @@ fn evaluate_inner(
         speed.feasible_annulus_ms(o.min_rtt_ms)
     };
 
-    // Distances from the VP to every facility of the IXP.
+    // Distance in km from facility `f` to the VP.
+    let dist_of = |f: usize| {
+        input.observed.facilities[f]
+            .location
+            .distance_km(&o.vp_location)
+    };
     let ixp = &input.observed.ixps[o.ixp];
     let feasible_ixp: Vec<usize> = ixp
         .facility_idxs

@@ -166,7 +166,7 @@ pub fn ixp_data(input: &InferenceInput<'_>) -> IxpData {
 
 /// Pre-harvested step-4 evidence: the traIXroute lookup data plus
 /// everything the corpus scan and registry produce. Building it is a
-/// pure function of the input, so the parallel engine can harvest
+/// pure function of the input, so the incremental pipeline can harvest
 /// corpus chunks on worker threads and merge them (sets union
 /// order-independently) before the per-candidate classification.
 pub struct Step4Evidence {
@@ -180,6 +180,25 @@ pub struct Step4Evidence {
     pub lan_ifaces: BTreeMap<Asn, Vec<(Ipv4Addr, usize)>>,
 }
 
+impl Step4Evidence {
+    /// The registry half of the evidence — the traIXroute lookup data
+    /// and every member's LAN interfaces — with an empty corpus half.
+    pub(crate) fn from_registry(input: &InferenceInput<'_>) -> Self {
+        let mut lan_ifaces: BTreeMap<Asn, Vec<(Ipv4Addr, usize)>> = BTreeMap::new();
+        for (i, ixp) in input.observed.ixps.iter().enumerate() {
+            for (&addr, &asn) in &ixp.interfaces {
+                lan_ifaces.entry(asn).or_default().push((addr, i));
+            }
+        }
+        Step4Evidence {
+            data: ixp_data(input),
+            as_pairs: BTreeMap::new(),
+            crossings: BTreeMap::new(),
+            lan_ifaces,
+        }
+    }
+}
+
 /// The corpus-derived half of [`Step4Evidence`], for one chunk of the
 /// traceroute corpus.
 #[derive(Default)]
@@ -188,20 +207,6 @@ pub struct CorpusChunk {
     pub as_pairs: BTreeMap<Asn, BTreeSet<(Ipv4Addr, usize)>>,
     /// IXPs each AS appears to cross.
     pub crossings: BTreeMap<Asn, BTreeSet<usize>>,
-}
-
-impl CorpusChunk {
-    /// Set-unions another chunk into this one. Union of sets is
-    /// order-independent, so any chunking of the corpus merges to the
-    /// same evidence as one sequential scan.
-    pub fn absorb(&mut self, other: CorpusChunk) {
-        for (asn, pairs) in other.as_pairs {
-            self.as_pairs.entry(asn).or_default().extend(pairs);
-        }
-        for (asn, ixps) in other.crossings {
-            self.crossings.entry(asn).or_default().extend(ixps);
-        }
-    }
 }
 
 /// Scans a contiguous range of the traceroute corpus for `{IPx, IPixp}`
@@ -243,35 +248,15 @@ pub fn scan_corpus(
     chunk
 }
 
-/// Assembles full evidence from pre-scanned corpus chunks.
-pub fn evidence_from_chunks(
-    input: &InferenceInput<'_>,
-    data: IxpData,
-    chunks: Vec<CorpusChunk>,
-) -> Step4Evidence {
-    let mut merged = CorpusChunk::default();
-    for c in chunks {
-        merged.absorb(c);
-    }
-    let mut lan_ifaces: BTreeMap<Asn, Vec<(Ipv4Addr, usize)>> = BTreeMap::new();
-    for (i, ixp) in input.observed.ixps.iter().enumerate() {
-        for (&addr, &asn) in &ixp.interfaces {
-            lan_ifaces.entry(asn).or_default().push((addr, i));
-        }
-    }
-    Step4Evidence {
-        data,
-        as_pairs: merged.as_pairs,
-        crossings: merged.crossings,
-        lan_ifaces,
-    }
-}
-
 /// Harvests the full evidence set with one sequential corpus scan.
 pub fn harvest(input: &InferenceInput<'_>) -> Step4Evidence {
-    let data = ixp_data(input);
-    let chunk = scan_corpus(input, &data, 0..input.corpus.len());
-    evidence_from_chunks(input, data, vec![chunk])
+    let registry = Step4Evidence::from_registry(input);
+    let chunk = scan_corpus(input, &registry.data, 0..input.corpus.len());
+    Step4Evidence {
+        as_pairs: chunk.as_pairs,
+        crossings: chunk.crossings,
+        ..registry
+    }
 }
 
 /// Multi-IXP candidate ASNs in ascending order: ASes whose crossing

@@ -12,12 +12,9 @@
 //!   facility coordinates; Vincenty agrees with Karney to well under a
 //!   millimetre over the facility/VP distances in this workload (< 20 Mm,
 //!   non-antipodal), and is verifiable against published test vectors.
-//! * [`metro`] — metropolitan-area clustering: the paper treats a metro
-//!   area as a 100 km disk and calls facilities more than 50 km apart
+//! * [`metro`] — the metro-area threshold: the paper treats a metro area
+//!   as a 100 km disk and calls facilities more than 50 km apart
 //!   "different metropolitan areas" (§2 fn. 2, §4.2).
-//! * [`batch`] — bulk geodesic evaluation over contiguous point arrays:
-//!   dense distance rows that make step 3's per-shard feasibility checks
-//!   array scans instead of per-lookup recomputation.
 //! * [`speed`] — the RTT⇄distance feasibility model: packets travel at most
 //!   at `vmax = (4/9)·c` (Katz-Bassett et al. \[54\]) and, per the paper's fit
 //!   to Y.1731 inter-facility delays, at least at `vmin(d) = A·(ln d − 3)`
@@ -38,14 +35,12 @@
 //! assert!((annulus.max_km - 533.0).abs() < 5.0);
 //! ```
 
-pub mod batch;
 pub mod coord;
 pub mod geodesic;
 pub mod metro;
 pub mod speed;
 
-pub use batch::distances_km as batch_distances_km;
 pub use coord::GeoPoint;
 pub use geodesic::{distance_km, distance_m, haversine_m, vincenty_inverse_m};
-pub use metro::{max_pairwise_distance_km, MetroClusterer};
+pub use metro::max_pairwise_distance_km;
 pub use speed::{Annulus, SpeedModel};

@@ -1,4 +1,4 @@
-//! Metropolitan-area clustering of facilities.
+//! Metropolitan-area geometry of facilities.
 //!
 //! The paper defines a metropolitan area as a disk of 100 km diameter
 //! (§2 fn. 2) and classifies an IXP as *wide-area* when its switching
@@ -6,10 +6,6 @@
 //! different metro areas (§4.2). Because facility rows name cities
 //! inconsistently, the classification works on geodesic distances between
 //! coordinates, not on city strings.
-//!
-//! Clustering is single-linkage over the "within `threshold_km`" relation,
-//! implemented with a union-find over all point pairs. O(n²) pair checks
-//! are fine at facility scale (≤ a few thousand points per IXP/operator).
 
 use crate::coord::GeoPoint;
 use crate::geodesic::distance_km;
@@ -18,108 +14,23 @@ use crate::geodesic::distance_km;
 /// different metropolitan areas.
 pub const DEFAULT_METRO_THRESHOLD_KM: f64 = 50.0;
 
-/// Union-find based single-linkage clusterer.
+/// Maximum geodesic distance between any two of `points`, in km
+/// (0 for fewer than two points). Used by the Fig. 2b experiment
+/// ("max distance between IXP facilities vs. number of members"); above
+/// [`DEFAULT_METRO_THRESHOLD_KM`] the points span more than one metro
+/// area, the paper's wide-area test.
 ///
 /// ```
-/// use opeer_geo::{GeoPoint, MetroClusterer};
+/// use opeer_geo::metro::{max_pairwise_distance_km, DEFAULT_METRO_THRESHOLD_KM};
+/// use opeer_geo::GeoPoint;
 ///
 /// let ams1 = GeoPoint::new(52.37, 4.90).unwrap();
 /// let ams2 = GeoPoint::new(52.30, 4.94).unwrap(); // ~9 km away
 /// let fra = GeoPoint::new(50.11, 8.68).unwrap();  // ~360 km away
 ///
-/// let clusters = MetroClusterer::default().cluster(&[ams1, ams2, fra]);
-/// assert_eq!(clusters.num_clusters(), 2);
-/// assert_eq!(clusters.cluster_of(0), clusters.cluster_of(1));
-/// assert_ne!(clusters.cluster_of(0), clusters.cluster_of(2));
+/// assert!(max_pairwise_distance_km(&[ams1, ams2]) <= DEFAULT_METRO_THRESHOLD_KM);
+/// assert!(max_pairwise_distance_km(&[ams1, ams2, fra]) > DEFAULT_METRO_THRESHOLD_KM);
 /// ```
-#[derive(Debug, Clone)]
-pub struct MetroClusterer {
-    threshold_km: f64,
-}
-
-impl Default for MetroClusterer {
-    fn default() -> Self {
-        MetroClusterer {
-            threshold_km: DEFAULT_METRO_THRESHOLD_KM,
-        }
-    }
-}
-
-impl MetroClusterer {
-    /// Creates a clusterer with a custom linkage threshold in km.
-    pub fn new(threshold_km: f64) -> Self {
-        MetroClusterer { threshold_km }
-    }
-
-    /// Clusters `points`; indices in the result refer to positions in the
-    /// input slice.
-    pub fn cluster(&self, points: &[GeoPoint]) -> Clusters {
-        let mut uf = UnionFind::new(points.len());
-        for i in 0..points.len() {
-            for j in (i + 1)..points.len() {
-                if distance_km(points[i], points[j]) <= self.threshold_km {
-                    uf.union(i, j);
-                }
-            }
-        }
-        Clusters::from_union_find(uf)
-    }
-}
-
-/// Result of a clustering run: a cluster id per input point.
-#[derive(Debug, Clone)]
-pub struct Clusters {
-    /// Dense cluster id (0-based) per input index.
-    assignment: Vec<usize>,
-    num_clusters: usize,
-}
-
-impl Clusters {
-    fn from_union_find(mut uf: UnionFind) -> Self {
-        let n = uf.parent.len();
-        let mut dense = std::collections::HashMap::new();
-        let mut assignment = Vec::with_capacity(n);
-        for i in 0..n {
-            let root = uf.find(i);
-            let next = dense.len();
-            let id = *dense.entry(root).or_insert(next);
-            assignment.push(id);
-        }
-        Clusters {
-            assignment,
-            num_clusters: dense.len(),
-        }
-    }
-
-    /// Number of distinct clusters.
-    pub fn num_clusters(&self) -> usize {
-        self.num_clusters
-    }
-
-    /// Cluster id of input point `idx`.
-    pub fn cluster_of(&self, idx: usize) -> usize {
-        self.assignment[idx]
-    }
-
-    /// Members of each cluster, as input indices.
-    pub fn members(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.num_clusters];
-        for (idx, &c) in self.assignment.iter().enumerate() {
-            out[c].push(idx);
-        }
-        out
-    }
-
-    /// Whether the points span more than one metro area — the paper's
-    /// *wide-area* test when applied to one IXP's facilities.
-    pub fn is_wide_area(&self) -> bool {
-        self.num_clusters > 1
-    }
-}
-
-/// Maximum geodesic distance between any two of `points`, in km
-/// (0 for fewer than two points). Used by the Fig. 2b experiment
-/// ("max distance between IXP facilities vs. number of members").
 pub fn max_pairwise_distance_km(points: &[GeoPoint]) -> f64 {
     let mut max = 0.0f64;
     for i in 0..points.len() {
@@ -128,44 +39,6 @@ pub fn max_pairwise_distance_km(points: &[GeoPoint]) -> f64 {
         }
     }
     max
-}
-
-#[derive(Debug)]
-struct UnionFind {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]]; // path halving
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        match self.rank[ra].cmp(&self.rank[rb]) {
-            std::cmp::Ordering::Less => self.parent[ra] = rb,
-            std::cmp::Ordering::Greater => self.parent[rb] = ra,
-            std::cmp::Ordering::Equal => {
-                self.parent[rb] = ra;
-                self.rank[ra] += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -177,51 +50,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_singleton() {
-        let c = MetroClusterer::default().cluster(&[]);
-        assert_eq!(c.num_clusters(), 0);
-        assert!(!c.is_wide_area());
-
-        let c = MetroClusterer::default().cluster(&[pt(52.0, 4.0)]);
-        assert_eq!(c.num_clusters(), 1);
-        assert!(!c.is_wide_area());
-    }
-
-    #[test]
-    fn transitive_chaining_links_clusters() {
-        // A chain of points each 40 km apart: single linkage joins all,
-        // even though the endpoints are > 50 km apart.
-        let base = pt(52.0, 4.0);
-        let step = 40.0 / 111.0; // ~40 km in latitude degrees
-        let chain: Vec<GeoPoint> = (0..4).map(|i| pt(52.0 + step * i as f64, 4.0)).collect();
-        assert!(distance_km(chain[0], chain[3]) > 50.0);
-        let c = MetroClusterer::default().cluster(&chain);
-        assert_eq!(c.num_clusters(), 1);
-        let _ = base;
-    }
-
-    #[test]
     fn wide_area_detection() {
         // NL-IX-like: Amsterdam + London + Bucharest.
         let pts = [pt(52.37, 4.9), pt(51.51, -0.13), pt(44.43, 26.1)];
-        let c = MetroClusterer::default().cluster(&pts);
-        assert!(c.is_wide_area());
-        assert_eq!(c.num_clusters(), 3);
+        assert!(max_pairwise_distance_km(&pts) > DEFAULT_METRO_THRESHOLD_KM);
 
         // DE-CIX-FRA-like: many facilities in one metro.
         let pts = [pt(50.11, 8.68), pt(50.09, 8.74), pt(50.13, 8.60)];
-        let c = MetroClusterer::default().cluster(&pts);
-        assert!(!c.is_wide_area());
-    }
-
-    #[test]
-    fn members_partition_input() {
-        let pts = [pt(52.37, 4.9), pt(52.35, 4.95), pt(51.51, -0.13)];
-        let c = MetroClusterer::default().cluster(&pts);
-        let members = c.members();
-        let total: usize = members.iter().map(Vec::len).sum();
-        assert_eq!(total, pts.len());
-        assert_eq!(members.len(), c.num_clusters());
+        assert!(max_pairwise_distance_km(&pts) <= DEFAULT_METRO_THRESHOLD_KM);
     }
 
     #[test]
@@ -230,15 +66,5 @@ mod tests {
         assert_eq!(max_pairwise_distance_km(&[pt(0.0, 0.0)]), 0.0);
         let d = max_pairwise_distance_km(&[pt(51.51, -0.13), pt(44.43, 26.1), pt(50.11, 8.68)]);
         assert!(d > 1300.0, "LON-BUH should dominate, got {d}");
-    }
-
-    #[test]
-    fn custom_threshold() {
-        let a = pt(52.0, 4.0);
-        let b = pt(52.0, 4.0 + 80.0 / 68.0); // ~80 km east at 52°N
-        let near = MetroClusterer::new(100.0).cluster(&[a, b]);
-        assert_eq!(near.num_clusters(), 1);
-        let strict = MetroClusterer::new(50.0).cluster(&[a, b]);
-        assert_eq!(strict.num_clusters(), 2);
     }
 }

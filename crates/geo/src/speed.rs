@@ -40,11 +40,6 @@ impl Annulus {
     pub fn contains(&self, d_km: f64) -> bool {
         d_km >= self.min_km && d_km <= self.max_km
     }
-
-    /// Width of the annulus in km.
-    pub fn width_km(&self) -> f64 {
-        (self.max_km - self.min_km).max(0.0)
-    }
 }
 
 /// The two-sided speed model.
@@ -135,29 +130,6 @@ impl SpeedModel {
             max_km: self.d_max_km(rtt_ms),
         }
     }
-
-    /// Whether a target at `d_km` is consistent with an observed `rtt_ms`.
-    pub fn is_distance_feasible(&self, d_km: f64, rtt_ms: f64) -> bool {
-        self.feasible_annulus_ms(rtt_ms).contains(d_km)
-    }
-
-    /// The smallest RTT (ms) physically possible to a target at `d_km`:
-    /// straight-line travel at `vmax`.
-    pub fn min_rtt_ms_for_distance(&self, d_km: f64) -> f64 {
-        d_km * 1000.0 / self.v_max_m_s * 1000.0
-    }
-
-    /// The largest plausible RTT (ms) to a target at `d_km` under the lower
-    /// speed bound, or `None` when the bound does not constrain (short
-    /// distances where `vmin ≤ 0`).
-    pub fn max_rtt_ms_for_distance(&self, d_km: f64) -> Option<f64> {
-        let v = self.v_min_m_s(d_km);
-        if v <= 0.0 {
-            None
-        } else {
-            Some(d_km * 1000.0 / v * 1000.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +160,8 @@ mod tests {
         // sub-ms RTTs keep their own facility feasible.
         assert_eq!(m.d_min_km(1.0), 0.0);
         assert_eq!(m.d_min_km(0.3), 0.0);
-        assert!(m.is_distance_feasible(0.0, 0.5));
-        assert!(m.is_distance_feasible(0.0, 1.0));
+        assert!(m.feasible_annulus_ms(0.5).contains(0.0));
+        assert!(m.feasible_annulus_ms(1.0).contains(0.0));
     }
 
     #[test]
@@ -252,20 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn rtt_bounds_for_distance_are_consistent() {
-        let m = SpeedModel::default();
-        let d = 400.0;
-        let lo = m.min_rtt_ms_for_distance(d);
-        let hi = m.max_rtt_ms_for_distance(d).unwrap();
-        assert!(lo < hi);
-        // Any RTT between the bounds must consider d feasible.
-        let mid = (lo + hi) / 2.0;
-        assert!(m.is_distance_feasible(d, mid), "d={d} rtt={mid}");
-        // Short distances have no upper RTT bound.
-        assert!(m.max_rtt_ms_for_distance(10.0).is_none());
-    }
-
-    #[test]
     fn fig6_shape_vmin_below_vmax() {
         let m = SpeedModel::default();
         for d in [30.0, 100.0, 500.0, 2000.0, 10000.0] {
@@ -276,16 +234,16 @@ mod tests {
     }
 
     #[test]
-    fn annulus_width() {
+    fn annulus_contains_is_inclusive() {
+        // Step 3 counts a facility exactly on either radius as feasible.
         let a = Annulus {
-            min_km: 100.0,
-            max_km: 250.0,
+            min_km: 20.0,
+            max_km: 30.0,
         };
-        assert_eq!(a.width_km(), 150.0);
-        let degenerate = Annulus {
-            min_km: 5.0,
-            max_km: 2.0,
-        };
-        assert_eq!(degenerate.width_km(), 0.0);
+        let inside: Vec<f64> = [10.0, 20.0, 25.0, 30.0, 40.0]
+            .into_iter()
+            .filter(|&d| a.contains(d))
+            .collect();
+        assert_eq!(inside, [20.0, 25.0, 30.0]);
     }
 }

@@ -30,8 +30,6 @@
 //!   (Fig. 2a, Fig. 6).
 //! * [`ipid`] — IP-ID probing of interfaces, the raw signal for
 //!   MIDAR-style alias resolution in `opeer-alias`.
-//! * [`periscope`] — Periscope-style LG query scheduling (token buckets
-//!   over deterministic virtual time).
 //!
 //! ## Key types and entry points
 //!
@@ -71,7 +69,6 @@
 pub mod campaign;
 pub mod ipid;
 pub mod latency;
-pub mod periscope;
 pub mod ping;
 pub mod traceroute;
 pub mod vp;

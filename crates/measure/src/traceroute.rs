@@ -226,11 +226,6 @@ impl CorpusPlan {
         self.dsts.is_empty()
     }
 
-    /// Total `(source, destination)` pairs scheduled.
-    pub fn num_pairs(&self) -> usize {
-        self.plans.values().map(Vec::len).sum()
-    }
-
     /// The `i`-th destination AS in sorted order, with its planned
     /// `(source, target address)` pairs.
     pub fn destination(&self, i: usize) -> (AsId, &[(AsId, Ipv4Addr)]) {

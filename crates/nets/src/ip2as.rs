@@ -111,11 +111,6 @@ impl IpToAsMap {
         self.trie.longest_match(addr).map(|(_, v)| v)
     }
 
-    /// Longest-prefix-match lookup returning the matched prefix too.
-    pub fn lookup_prefix(&self, addr: Ipv4Addr) -> Option<(Ipv4Prefix, &OriginSet)> {
-        self.trie.longest_match(addr)
-    }
-
     /// Convenience: the unique origin AS of `addr`, if the covering prefix
     /// is not MOAS. This mirrors how the paper's heuristics treat IP-to-AS
     /// mapping (MOAS hops are ambiguous and skipped).
@@ -258,13 +253,5 @@ mod tests {
         assert_eq!(m.num_prefixes(), 2);
         let set = m.lookup("203.0.113.9".parse().unwrap()).unwrap();
         assert_eq!(set.origins(), &[Asn::new(64496), Asn::new(64497)]);
-    }
-
-    #[test]
-    fn lookup_prefix_reports_match() {
-        let mut m = IpToAsMap::new();
-        m.insert(p("10.0.0.0/8"), Asn::new(100));
-        let (pfx, _) = m.lookup_prefix("10.200.0.1".parse().unwrap()).unwrap();
-        assert_eq!(pfx, p("10.0.0.0/8"));
     }
 }

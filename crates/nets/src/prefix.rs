@@ -121,26 +121,6 @@ impl Ipv4Prefix {
         Some((low, high))
     }
 
-    /// Enumerates the subnets of this prefix at `sub_len`, e.g. the four
-    /// `/23`s of a `/21` at `sub_len = 23`. Returns an empty iterator if
-    /// `sub_len < self.len()` and caps enumeration at 2^16 subnets to keep
-    /// accidental huge expansions from allocating unbounded memory.
-    pub fn subnets(&self, sub_len: u8) -> impl Iterator<Item = Ipv4Prefix> + '_ {
-        let count: u64 = if sub_len > 32 || sub_len < self.len {
-            0
-        } else {
-            1u64 << ((sub_len - self.len) as u32).min(16)
-        };
-        let base = u32::from(self.network);
-        (0..count).map(move |i| {
-            let step = 1u64 << (32 - sub_len as u32);
-            Ipv4Prefix {
-                network: Ipv4Addr::from(base + (i * step) as u32),
-                len: sub_len,
-            }
-        })
-    }
-
     /// The `n`-th address within the prefix, if in range.
     ///
     /// `addr_at(0)` is the network address. Peering-LAN IP assignment in
@@ -300,22 +280,6 @@ mod tests {
         assert_eq!(lo, p("10.0.0.0/9"));
         assert_eq!(hi, p("10.128.0.0/9"));
         assert!(p("1.2.3.4/32").split().is_none());
-    }
-
-    #[test]
-    fn subnets_enumeration() {
-        let subs: Vec<_> = p("10.0.0.0/22").subnets(24).collect();
-        assert_eq!(
-            subs,
-            vec![
-                p("10.0.0.0/24"),
-                p("10.0.1.0/24"),
-                p("10.0.2.0/24"),
-                p("10.0.3.0/24")
-            ]
-        );
-        assert_eq!(p("10.0.0.0/24").subnets(22).count(), 0);
-        assert_eq!(p("10.0.0.0/24").subnets(24).count(), 1);
     }
 
     #[test]

@@ -58,11 +58,6 @@ pub struct ValidationDataset {
 }
 
 impl ValidationDataset {
-    /// All IXPs of one role.
-    pub fn of_role(&self, role: ValidationRole) -> impl Iterator<Item = &ValidationIxp> {
-        self.ixps.iter().filter(move |v| v.role == role)
-    }
-
     /// Looks up the validation verdict for an interface address.
     pub fn verdict(&self, addr: Ipv4Addr) -> Option<bool> {
         for v in &self.ixps {
@@ -175,8 +170,9 @@ mod tests {
         let w = WorldConfig::small(47).generate();
         let v = build_validation(&w, 3);
         assert_eq!(v.ixps.len(), 15);
-        assert_eq!(v.of_role(ValidationRole::Test).count(), 8);
-        assert_eq!(v.of_role(ValidationRole::Control).count(), 7);
+        let count = |role| v.ixps.iter().filter(|x| x.role == role).count();
+        assert_eq!(count(ValidationRole::Test), 8);
+        assert_eq!(count(ValidationRole::Control), 7);
     }
 
     #[test]

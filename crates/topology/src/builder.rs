@@ -1,10 +1,10 @@
-//! Validating construction of [`WorldConfig`] values.
+//! Validation of hand-edited [`WorldConfig`] values.
 //!
 //! Sweep grids build many hand-tweaked configs; a typo'd probability or
 //! an inverted capacity bound would otherwise generate a silently
-//! degenerate world (or panic deep inside the generator). The builder
-//! funnels every hand-built config through [`WorldConfig::validate`],
-//! which rejects out-of-range knobs with a typed [`WorldConfigError`].
+//! degenerate world (or panic deep inside the generator).
+//! [`WorldConfig::validate`] rejects out-of-range knobs with a typed
+//! [`WorldConfigError`].
 
 use std::fmt;
 
@@ -113,19 +113,12 @@ fn check_prob(field: &'static str, value: f64) -> Result<(), WorldConfigError> {
 }
 
 impl WorldConfig {
-    /// Starts a validating builder seeded with [`WorldConfig::default`].
-    pub fn builder() -> WorldConfigBuilder {
-        WorldConfigBuilder {
-            cfg: WorldConfig::default(),
-        }
-    }
-
     /// Checks every knob for internal consistency.
     ///
     /// The stock constructors (`default`/`small`/`paper`/…) always pass;
     /// hand-edited configs — sweep-grid cells in particular — should be
-    /// funnelled through this (or built via [`WorldConfig::builder`]) so
-    /// degenerate worlds fail loudly at construction time.
+    /// funnelled through this so degenerate worlds fail loudly before
+    /// generation.
     pub fn validate(&self) -> Result<(), WorldConfigError> {
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(WorldConfigError::ScaleInvalid { value: self.scale });
@@ -228,99 +221,6 @@ impl WorldConfig {
     }
 }
 
-/// Fluent, validating constructor for [`WorldConfig`].
-///
-/// Starts from an existing config ([`WorldConfigBuilder::from_config`])
-/// or the defaults ([`WorldConfig::builder`]); [`WorldConfigBuilder::build`]
-/// runs [`WorldConfig::validate`] and hands back either the config or a
-/// typed [`WorldConfigError`].
-#[derive(Debug, Clone)]
-pub struct WorldConfigBuilder {
-    cfg: WorldConfig,
-}
-
-impl WorldConfigBuilder {
-    /// Starts from an existing config (e.g. `WorldConfig::small(seed)`).
-    pub fn from_config(cfg: WorldConfig) -> Self {
-        WorldConfigBuilder { cfg }
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the member-target multiplier (1.0 = paper scale).
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.cfg.scale = scale;
-        self
-    }
-
-    /// Sets the number of generated small IXPs.
-    pub fn n_small_ixps(mut self, n: usize) -> Self {
-        self.cfg.n_small_ixps = n;
-        self
-    }
-
-    /// Sets the background AS pool size.
-    pub fn n_background_ases(mut self, n: usize) -> Self {
-        self.cfg.n_background_ases = n;
-        self
-    }
-
-    /// Sets the number of planted remote→local switchers.
-    pub fn n_switchers(mut self, n: usize) -> Self {
-        self.cfg.n_switchers = n;
-        self
-    }
-
-    /// Sets the remote-distance mixture.
-    pub fn remote_mix(mut self, mix: crate::gen::RemoteMix) -> Self {
-        self.cfg.remote_mix = mix;
-        self
-    }
-
-    /// Sets the physical port-capacity distribution.
-    pub fn port_capacity(mut self, ports: crate::gen::PortCapacityDist) -> Self {
-        self.cfg.port_capacity = ports;
-        self
-    }
-
-    /// Sets P(remote peer connects via reseller).
-    pub fn p_reseller_given_remote(mut self, p: f64) -> Self {
-        self.cfg.p_reseller_given_remote = p;
-        self
-    }
-
-    /// Sets the timeline length in months.
-    pub fn timeline_months(mut self, m: u32) -> Self {
-        self.cfg.timeline_months = m;
-        self
-    }
-
-    /// Sets the observation month.
-    pub fn observation_month(mut self, m: u32) -> Self {
-        self.cfg.observation_month = m;
-        self
-    }
-
-    /// Applies an arbitrary tweak to the underlying config.
-    ///
-    /// Escape hatch for knobs without a dedicated setter; the tweak is
-    /// still validated by [`WorldConfigBuilder::build`].
-    pub fn tweak(mut self, f: impl FnOnce(&mut WorldConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// Validates and returns the finished config.
-    pub fn build(self) -> Result<WorldConfig, WorldConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,26 +239,27 @@ mod tests {
         }
     }
 
+    /// `WorldConfig::default()` with one edit applied, validated.
+    fn validate_edited(edit: impl FnOnce(&mut WorldConfig)) -> Result<(), WorldConfigError> {
+        let mut cfg = WorldConfig::default();
+        edit(&mut cfg);
+        cfg.validate()
+    }
+
     #[test]
     fn builder_happy_path() {
-        let cfg = WorldConfig::builder()
-            .seed(99)
-            .scale(0.5)
-            .n_small_ixps(10)
-            .p_reseller_given_remote(0.4)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.scale, 0.5);
-        assert_eq!(cfg.p_reseller_given_remote, 0.4);
+        validate_edited(|c| {
+            c.seed = 99;
+            c.scale = 0.5;
+            c.n_small_ixps = 10;
+            c.p_reseller_given_remote = 0.4;
+        })
+        .expect("in-range edits must validate");
     }
 
     #[test]
     fn rejects_out_of_range_probability() {
-        let err = WorldConfig::builder()
-            .p_reseller_given_remote(1.3)
-            .build()
-            .unwrap_err();
+        let err = validate_edited(|c| c.p_reseller_given_remote = 1.3).unwrap_err();
         assert!(matches!(
             err,
             WorldConfigError::ProbabilityOutOfRange {
@@ -366,10 +267,7 @@ mod tests {
                 ..
             }
         ));
-        let err = WorldConfig::builder()
-            .tweak(|c| c.p_ipid_shared = f64::NAN)
-            .build()
-            .unwrap_err();
+        let err = validate_edited(|c| c.p_ipid_shared = f64::NAN).unwrap_err();
         assert!(matches!(
             err,
             WorldConfigError::ProbabilityOutOfRange {
@@ -381,10 +279,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_member_count() {
-        let err = WorldConfig::builder()
-            .n_background_ases(0)
-            .build()
-            .unwrap_err();
+        let err = validate_edited(|c| c.n_background_ases = 0).unwrap_err();
         assert!(matches!(
             err,
             WorldConfigError::ZeroMemberCount {
@@ -400,10 +295,7 @@ mod tests {
             max_physical_mbps: capacity::GE,
             ..PortCapacityDist::default()
         };
-        let err = WorldConfig::builder()
-            .port_capacity(ports)
-            .build()
-            .unwrap_err();
+        let err = validate_edited(|c| c.port_capacity = ports).unwrap_err();
         assert_eq!(
             err,
             WorldConfigError::InvertedCapacityBounds {
@@ -415,39 +307,36 @@ mod tests {
 
     #[test]
     fn rejects_bad_remote_mix_and_port_weights() {
-        let err = WorldConfig::builder()
-            .remote_mix(RemoteMix {
+        let err = validate_edited(|c| {
+            c.remote_mix = RemoteMix {
                 same_metro: 0.6,
                 regional: 0.5,
                 continental: 0.2,
                 intercontinental: 0.0,
-            })
-            .build()
-            .unwrap_err();
+            }
+        })
+        .unwrap_err();
         assert!(matches!(err, WorldConfigError::RemoteMixInvalid { .. }));
 
-        let err = WorldConfig::builder()
-            .port_capacity(PortCapacityDist {
+        let err = validate_edited(|c| {
+            c.port_capacity = PortCapacityDist {
                 p_local_ge: 0.8,
                 p_local_10ge: 0.4,
                 ..PortCapacityDist::default()
-            })
-            .build()
-            .unwrap_err();
+            }
+        })
+        .unwrap_err();
         assert!(matches!(err, WorldConfigError::PortWeightsInvalid { .. }));
     }
 
     #[test]
     fn rejects_bad_scale_and_window() {
         assert!(matches!(
-            WorldConfig::builder().scale(0.0).build().unwrap_err(),
+            validate_edited(|c| c.scale = 0.0).unwrap_err(),
             WorldConfigError::ScaleInvalid { .. }
         ));
         assert!(matches!(
-            WorldConfig::builder()
-                .observation_month(20)
-                .build()
-                .unwrap_err(),
+            validate_edited(|c| c.observation_month = 20).unwrap_err(),
             WorldConfigError::ObservationOutOfWindow { .. }
         ));
     }

@@ -110,8 +110,9 @@ impl PortCapacityDist {
     }
 
     /// Clamps a tier-drawn capacity into the configured bounds. `max`
-    /// wins over an inverted `min` (the builder rejects inverted bounds
-    /// up front; a hand-built struct degrades instead of panicking).
+    /// wins over an inverted `min` (`WorldConfig::validate` rejects
+    /// inverted bounds up front; an unvalidated config degrades instead
+    /// of panicking).
     pub fn bound(&self, cap: u32) -> u32 {
         cap.max(self.min_physical_mbps).min(self.max_physical_mbps)
     }

@@ -43,7 +43,7 @@ pub mod scenario;
 pub mod spec;
 pub mod world;
 
-pub use builder::{WorldConfigBuilder, WorldConfigError};
+pub use builder::WorldConfigError;
 pub use cities::{CityRecord, Region, CITY_CATALOG};
 pub use gen::{capacity, PortCapacityDist, RemoteMix, WorldConfig};
 pub use ids::{AsId, CityId, FacilityId, IfaceId, IxpId, MembershipId, RouterId};

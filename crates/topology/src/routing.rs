@@ -17,7 +17,7 @@
 //! router carries several memberships.
 
 use crate::ids::*;
-use crate::world::{AccessTruth, IfaceKind, RouterLoc, World};
+use crate::world::{IfaceKind, World};
 use opeer_geo::GeoPoint;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -779,38 +779,9 @@ pub fn stable_hash(words: &[u64]) -> u64 {
     h
 }
 
-/// Ground-truth access truth of a membership (convenience for tests and
-/// experiments that need to know which memberships the expansion used).
-pub fn edge_uses_remote_access(world: &World, hop_as: AsId, edge: EdgeKind) -> Option<bool> {
-    if let EdgeKind::Ixp(ixp) = edge {
-        let month = world.observation_month;
-        let m = world
-            .memberships_of_as(hop_as)
-            .iter()
-            .map(|&mid| &world.memberships[mid.index()])
-            .find(|m| m.ixp == ixp && m.active_at(month))?;
-        Some(matches!(
-            m.truth,
-            AccessTruth::RemoteReseller { .. }
-                | AccessTruth::RemoteLongCable { .. }
-                | AccessTruth::RemoteFederation { .. }
-        ))
-    } else {
-        None
-    }
-}
-
 /// Convenience: is the interface an IXP-LAN interface?
 pub fn is_ixp_lan_iface(world: &World, ifc: IfaceId) -> bool {
     matches!(world.interfaces[ifc.index()].kind, IfaceKind::IxpLan { .. })
-}
-
-/// Convenience: location string of a router for reports.
-pub fn router_loc_name(world: &World, r: RouterId) -> String {
-    match world.routers[r.index()].loc {
-        RouterLoc::Facility(f) => world.facilities[f.index()].name.clone(),
-        RouterLoc::Premises(c) => format!("{} (premises)", world.cities[c.index()].name),
-    }
 }
 
 #[cfg(test)]

@@ -274,19 +274,6 @@ impl AccessTruth {
     pub fn is_remote(&self) -> bool {
         !matches!(self, AccessTruth::Local { .. })
     }
-
-    /// The facility where the member's traffic enters the IXP fabric.
-    pub fn attachment_facility(&self) -> FacilityId {
-        match *self {
-            AccessTruth::Local { facility } => facility,
-            AccessTruth::RemoteReseller {
-                reseller_port_facility,
-                ..
-            } => reseller_port_facility,
-            AccessTruth::RemoteLongCable { landing_facility } => landing_facility,
-            AccessTruth::RemoteFederation { gateway_facility } => gateway_facility,
-        }
-    }
 }
 
 /// One AS's connection to one IXP.
@@ -371,8 +358,6 @@ pub struct World {
     #[serde(skip)]
     memberships_by_as: Vec<Vec<MembershipId>>,
     #[serde(skip)]
-    facility_tenants: Vec<Vec<AsId>>,
-    #[serde(skip)]
     providers_of: Vec<Vec<AsId>>,
     #[serde(skip)]
     customers_of: Vec<Vec<AsId>>,
@@ -406,13 +391,6 @@ impl World {
         for (i, m) in self.memberships.iter().enumerate() {
             self.memberships_by_ixp[m.ixp.index()].push(MembershipId::from_index(i));
             self.memberships_by_as[m.member.index()].push(MembershipId::from_index(i));
-        }
-
-        self.facility_tenants = vec![Vec::new(); self.facilities.len()];
-        for (i, a) in self.ases.iter().enumerate() {
-            for f in &a.facilities {
-                self.facility_tenants[f.index()].push(AsId::from_index(i));
-            }
         }
 
         self.providers_of = vec![Vec::new(); self.ases.len()];
@@ -498,11 +476,6 @@ impl World {
             .collect()
     }
 
-    /// ASes with equipment in a facility.
-    pub fn tenants_of_facility(&self, f: FacilityId) -> &[AsId] {
-        &self.facility_tenants[f.index()]
-    }
-
     /// Transit providers of an AS.
     pub fn providers_of(&self, a: AsId) -> &[AsId] {
         &self.providers_of[a.index()]
@@ -554,11 +527,6 @@ impl World {
             IfaceKind::IxpLan { membership, .. } => Some(membership),
             _ => None,
         }
-    }
-
-    /// Whether two ASes share at least one IXP (active memberships).
-    pub fn share_ixp(&self, a: AsId, b: AsId) -> bool {
-        self.common_ixps(a, b).next().is_some()
     }
 
     /// IXPs where both ASes are active members.

@@ -234,3 +234,42 @@ fn thread_count_never_leaks_into_the_incremental_result() {
         );
     }
 }
+
+#[test]
+fn lg_rounding_off_reaches_the_incremental_pipeline() {
+    // A non-default config must flow through the product, not only the
+    // reference: with the §6.1 rounding correction off, the full
+    // recompute and a 3-epoch replay both equal `run_pipeline` under
+    // the same config, and that result differs from the default one.
+    let world = WorldConfig::small(11).generate();
+    let seed = 11;
+    let full = InferenceInput::assemble(&world, seed);
+    let cfg = PipelineConfig::builder()
+        .honor_lg_rounding(false)
+        .build()
+        .expect("valid config");
+    let reference = run_pipeline(&full, &cfg);
+    assert_ne!(
+        reference,
+        run_pipeline(&full, &PipelineConfig::default()),
+        "rounding correction changed nothing on this world"
+    );
+
+    let par = ParallelConfig::new(2);
+    let rebuilt = IncrementalPipeline::new(InferenceInput::assemble(&world, seed), &cfg, &par);
+    assert_eq!(*rebuilt.result(), reference, "full recompute diverged");
+
+    let (_, campaign_cfg, corpus_cfg) = opeer::core::input::default_configs(seed);
+    let deltas = InputDelta::zip_batches(
+        campaign_batches(&world, &full.vps, campaign_cfg, 3),
+        corpus_batches(&world, corpus_cfg, 3),
+    );
+    assert_eq!(deltas.len(), 3);
+    let (_, replayed) = run_pipeline_incremental(
+        InferenceInput::assemble_base(&world, seed),
+        deltas,
+        &cfg,
+        &par,
+    );
+    assert_eq!(replayed, reference, "3-epoch replay diverged");
+}
