@@ -52,11 +52,11 @@
 //! is 2 seeds × 2 knobs × (baseline + 1 scenario) = 8 cells.
 
 use opeer_core::engine::{map_indexed, ParallelConfig};
-use opeer_core::input::{default_configs, InferenceInput};
+use opeer_core::input::InferenceInput;
 use opeer_core::pipeline::{run_pipeline, PipelineConfig, PipelineResult, StepCounts};
 use opeer_core::scenario::{run_scenario_epoch, score_shift, ScenarioShift};
 use opeer_core::types::Verdict;
-use opeer_registry::{build_observed_world, ObservedWorld};
+use opeer_registry::ObservedWorld;
 use opeer_topology::{PortCapacityDist, RemoteMix, Scenario, World, WorldConfig, NAMED_IXPS};
 use serde::Serialize;
 use serde_json::Value;
@@ -754,14 +754,13 @@ pub fn run_sweep(grid: &SweepGrid, par: &ParallelConfig) -> Result<FleetReport, 
         let seed = grid.seeds[(i / grid.scenarios.len()) % n_seeds];
         let t = Instant::now();
         let sworld = sc.apply(&base.world);
-        let result = run_scenario_epoch(&base.world, &sworld, seed, &pipe_cfg, &inner);
-        let (registry_cfg, _, _) = default_configs(seed);
-        let (observed, _table1) = build_observed_world(&sworld, &registry_cfg);
-        let stats = cell_stats(&sworld, &observed, &result);
-        let shift = score_shift(&base.result, &result);
+        let pipe = run_scenario_epoch(&base.world, &sworld, seed, &pipe_cfg, &inner);
+        let result = pipe.result();
+        let stats = cell_stats(&sworld, &pipe.input().observed, result);
+        let shift = score_shift(&base.result, result);
         ScenCell {
             wall_ms: ms(t),
-            result,
+            result: result.clone(),
             stats,
             shift,
         }

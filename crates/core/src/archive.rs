@@ -49,10 +49,10 @@
 //! their neighbours, so [`SnapshotArchive::retained_bytes`] counts each
 //! shared partition **once** — the true footprint of the partition
 //! graph. For a hard ceiling under unbounded epoch streams, attach with
-//! a retention cap ([`SnapshotArchive::attach_with_retention`], or the
-//! [`RETAIN_ENV`] environment variable): after every apply the archive
-//! compacts to the `k` newest snapshots, evicting oldest-first. Evicted
-//! epochs answer [`ArchiveError::NotArchived`] and keep their
+//! a retention cap ([`SnapshotArchive::attach_with_retention`]): after
+//! every apply the archive compacts to the `k` newest snapshots,
+//! evicting oldest-first. Evicted epochs answer
+//! [`ArchiveError::NotArchived`] and keep their
 //! [`DirtyRecord`]s in [`SnapshotArchive::dirty_log`]; their snapshots
 //! are re-derivable, not lost — replay the same input stream (e.g.
 //! [`crate::evolution::monthly_deltas`]) through a fresh service up to
@@ -208,11 +208,6 @@ pub struct DirtyRecord {
 // the archive
 // ---------------------------------------------------------------------
 
-/// Environment variable read by [`SnapshotArchive::attach`]: a positive
-/// integer caps how many snapshots the archive retains (the memory
-/// ceiling); unset, empty, or unparsable means unbounded retention.
-pub const RETAIN_ENV: &str = "OPEER_ARCHIVE_RETAIN";
-
 /// One retained epoch: the published snapshot (Arc-shared with the
 /// service) and the dirty-shard counts of the apply that produced it.
 struct ArchivedEpoch {
@@ -265,15 +260,11 @@ pub struct SnapshotArchive<'s, 'w> {
 
 impl<'s, 'w> SnapshotArchive<'s, 'w> {
     /// Attaches an archive to a service, retaining the currently
-    /// published snapshot as the first archived epoch. The retention
-    /// cap comes from [`RETAIN_ENV`] (unset = unbounded); use
-    /// [`SnapshotArchive::attach_with_retention`] to set it explicitly.
+    /// published snapshot as the first archived epoch and every epoch
+    /// after it; use [`SnapshotArchive::attach_with_retention`] to cap
+    /// retention.
     pub fn attach(service: &'s PeeringService<'w>) -> Self {
-        let retain = std::env::var(RETAIN_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&k| k > 0);
-        Self::attach_with_retention(service, retain)
+        Self::attach_with_retention(service, None)
     }
 
     /// [`SnapshotArchive::attach`] with an explicit retention cap:

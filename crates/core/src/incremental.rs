@@ -25,9 +25,9 @@
 //!
 //! * a **campaign batch** consolidates only its own observation range
 //!   (step 2); targets whose best observation changed re-evaluate
-//!   (step 3); the steps-1–3 ledger takes new inferences in place and
-//!   is rebuilt only if an inference changed or vanished; candidates
-//!   whose own LAN priors or annuli changed re-classify (step 4);
+//!   (step 3), and the steps-1–3 ledger replaces or removes each
+//!   changed inference in place; candidates whose own LAN priors or
+//!   annuli changed re-classify (step 4);
 //! * a **corpus batch** is scanned once for step-4 pairs/crossings and
 //!   once for step-5 private adjacencies; only candidate ASNs whose
 //!   evidence actually **grew** re-classify, and only unknown
@@ -354,11 +354,10 @@ pub struct IncrementalPipeline<'w> {
     /// Step 3: the details dense by [`AddrId`] — the rows of step 4's
     /// [`step4::Step3Index`], patched per re-evaluated target.
     step3_rows: Vec<Option<Step3Detail>>,
-    /// Merged steps-1–3 ledger (step 4's frozen priors), rebuilt only
-    /// when a step-3 inference changed or vanished.
+    /// Merged steps-1–3 ledger (step 4's frozen priors): `ledger1` plus
+    /// every step-3 inference at an address step 1 left unknown,
+    /// patched in place per re-evaluated target.
     ledger123: Ledger,
-    /// Step-3 inferences `ledger123` took (step 1 wins collisions).
-    n3: usize,
     /// Step 4: lookup data + set-union corpus evidence (grows in place).
     evidence: Step4Evidence,
     /// Step 4: cached outcome per candidate ASN.
@@ -401,7 +400,6 @@ impl<'w> IncrementalPipeline<'w> {
             step3: BTreeMap::new(),
             step3_rows: Vec::new(),
             ledger123: Ledger::new(),
-            n3: 0,
             evidence: Step4Evidence {
                 data: opeer_traix::IxpData::new(),
                 as_pairs: BTreeMap::new(),
@@ -551,6 +549,7 @@ impl<'w> IncrementalPipeline<'w> {
         for shard in shards {
             self.ledger1.absorb(shard);
         }
+        self.ledger123 = self.ledger1.clone();
     }
 
     /// Whether interface `id` is unknown after steps 1–4: not in
@@ -636,9 +635,9 @@ impl<'w> IncrementalPipeline<'w> {
         };
         dirty.step2_observations = new_obs;
 
-        // ---- step 3: re-evaluate only the changed targets ----
-        let mut ledger_stale = full;
-        let mut ledger_added: Vec<Inference> = Vec::new();
+        // ---- step 3: re-evaluate only the changed targets, patching
+        // `ledger123` (step 4/5's frozen priors) where an inference
+        // changed, unless step 1 holds the address (step 1 wins) ----
         let step3_changed: Vec<Ipv4Addr> = {
             let input = &self.input;
             let observations = &self.observations;
@@ -664,10 +663,11 @@ impl<'w> IncrementalPipeline<'w> {
                     continue;
                 }
                 let old_inference = old.and_then(|(_, inf)| inf.as_ref());
-                match (old_inference, &eval.1) {
-                    (None, Some(new)) if !full => ledger_added.push(new.clone()),
-                    (old, new) if old != new.as_ref() => ledger_stale = true,
-                    _ => {}
+                if old_inference != eval.1.as_ref() && !self.ledger1.known(addr) {
+                    match &eval.1 {
+                        Some(new) => self.ledger123.replace(new.clone()),
+                        None => self.ledger123.remove(addr),
+                    };
                 }
                 if !full {
                     if let Some(old) = old_inference {
@@ -688,18 +688,6 @@ impl<'w> IncrementalPipeline<'w> {
         // details, so any surviving observation change dirties it even
         // when no inference flipped.
         publish.result_changed |= !step3_dirty.is_empty();
-
-        // ---- merged steps-1–3 ledger (step 4/5's frozen priors): kept
-        // while step-3 inferences only appear at new addresses, rebuilt
-        // when one changes or vanishes ----
-        if ledger_stale {
-            let mut ledger = self.ledger1.clone();
-            self.n3 =
-                ledger.record_distinct(self.step3.values().filter_map(|(_, inf)| inf.clone()));
-            self.ledger123 = ledger;
-        } else if !ledger_added.is_empty() {
-            self.n3 += self.ledger123.record_distinct(ledger_added);
-        }
 
         // ---- evidence scans over the new corpus range ----
         let new_traces = self.input.corpus.len() - corpus_start;
@@ -939,7 +927,7 @@ impl<'w> IncrementalPipeline<'w> {
                 counts: StepCounts {
                     baseline: 0,
                     port_capacity: self.ledger1.len(),
-                    rtt_colo: self.n3,
+                    rtt_colo: self.ledger123.len() - self.ledger1.len(),
                     multi_ixp: n4,
                     private_links: n5,
                 },
@@ -1147,7 +1135,10 @@ mod tests {
             "{label}: ledger123"
         );
         assert_eq!(
-            (pipe.ledger1.len(), pipe.n3),
+            (
+                pipe.ledger1.len(),
+                pipe.ledger123.len() - pipe.ledger1.len()
+            ),
             (n1, ledger.len() - n1),
             "{label}: step counts"
         );
@@ -1174,7 +1165,10 @@ mod tests {
 
     #[test]
     fn retained_caches_equal_their_rebuilds() {
-        for seed in [109, 31] {
+        // Seed 339 has epochs that drop a step-3 inference, so the
+        // ledger check also runs right after an in-place removal.
+        let mut step3_removals = 0;
+        for seed in [109, 31, 339] {
             let world = WorldConfig::small(seed).generate();
             let full = InferenceInput::assemble(&world, seed);
             let (_, campaign_cfg, corpus_cfg) = crate::input::default_configs(seed);
@@ -1224,7 +1218,17 @@ mod tests {
                         && !delta.corpus.is_empty();
                     let corpus_start = pipe.input.corpus.len();
                     let unknown_before = pipe.unknown.clone();
+                    let step3_held: Vec<Ipv4Addr> = pipe
+                        .step3
+                        .iter()
+                        .filter(|(a, (_, inf))| inf.is_some() && !pipe.ledger1.known(**a))
+                        .map(|(a, _)| *a)
+                        .collect();
                     pipe.apply(delta);
+                    step3_removals += step3_held
+                        .iter()
+                        .filter(|a| pipe.step3[*a].1.is_none())
+                        .count();
                     let label = format!("seed {seed}, {} threads, delta {e}", pipe.par.threads);
                     assert_caches_are_exact(pipe, &label);
                     if !is_corpus_only {
@@ -1264,5 +1268,6 @@ mod tests {
                 assert_eq!(*pipe.result(), one_shot, "seed {seed}: final result");
             }
         }
+        assert!(step3_removals > 0, "no epoch dropped a step-3 inference");
     }
 }

@@ -5,9 +5,10 @@
 //! but the seed implementation kept them in `BTreeMap`s keyed by
 //! `Ipv4Addr`/`Asn`, paying a pointer-chasing tree probe per lookup.
 //! This module assigns every member of each universe a dense `u32` id
-//! ([`AddrId`], [`AsnId`]) so the hot structures (the [`crate::steps::Ledger`],
-//! the step-2/3 observation tables, the publish-time snapshot indexes)
-//! can be flat arrays indexed or binary-searched by id.
+//! ([`AddrId`], [`AsnId`]) so the hot structures (the incremental
+//! pipeline's per-interface caches, step 4's step-3 rows, the
+//! publish-time snapshot indexes) can be flat arrays indexed or
+//! binary-searched by id.
 //!
 //! Invariants:
 //!

@@ -49,22 +49,26 @@ pub fn scenario_delta(scenario_world: &World, seed: u64) -> InputDelta {
 }
 
 /// Runs a scenario world through the incremental pipeline as one epoch
-/// over its baseline, returning the scenario's pipeline result.
+/// over its baseline, returning the pipeline: its
+/// [`result`](IncrementalPipeline::result) is the scenario's, and its
+/// [`input`](IncrementalPipeline::input) holds the scenario's fused
+/// registry.
 ///
 /// `base_world` anchors the retained input (alias resolution and VP
 /// discovery read it); the scenario transforms guarantee the two worlds
 /// agree on everything those reads touch, so the result is
 /// byte-identical to `run_pipeline(&InferenceInput::assemble(scenario_world, seed), cfg)`.
-pub fn run_scenario_epoch(
-    base_world: &World,
+pub fn run_scenario_epoch<'w>(
+    base_world: &'w World,
     scenario_world: &World,
     seed: u64,
     cfg: &PipelineConfig,
     par: &ParallelConfig,
-) -> PipelineResult {
+) -> IncrementalPipeline<'w> {
     let base = InferenceInput::assemble_base(base_world, seed);
     let mut pipe = IncrementalPipeline::new(base, cfg, par);
-    pipe.apply(scenario_delta(scenario_world, seed)).clone()
+    pipe.apply(scenario_delta(scenario_world, seed));
+    pipe
 }
 
 /// Canonical verdict index of a result: `(observed IXP index, address)`
@@ -167,7 +171,11 @@ mod tests {
 
         let via_delta = run_scenario_epoch(&base, &sworld, 5, &cfg, &par);
         let one_shot = run_pipeline(&InferenceInput::assemble(&sworld, 5), &cfg);
-        assert_eq!(via_delta, one_shot, "delta path must equal one-shot");
+        assert_eq!(
+            *via_delta.result(),
+            one_shot,
+            "delta path must equal one-shot"
+        );
     }
 
     #[test]

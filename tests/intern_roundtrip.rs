@@ -1,8 +1,8 @@
 //! Properties of the dense-id interning layer.
 //!
 //! The intern tables back every dense structure on the hot paths (the
-//! SoA ledger indexes, the snapshot's CSR rows), so their contract is
-//! load-bearing:
+//! incremental pipeline's per-interface caches, the snapshot's per-ASN
+//! rows), so their contract is load-bearing:
 //!
 //! * **round trip** — `id` then `resolve` is the identity on every
 //!   interned key, and `id` rejects everything else;

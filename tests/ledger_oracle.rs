@@ -1,15 +1,15 @@
-//! Model-based oracle for the struct-of-arrays [`Ledger`].
+//! Model-based oracle for the [`Ledger`].
 //!
-//! The ledger used to be a pair of `BTreeMap`s; the SoA rewrite
-//! (append-only columns + a prefix/tail sorted index vector) must be
-//! observationally identical — same first-write-wins recording, same
-//! address-order iteration, same point lookups — because every
-//! downstream shard merge and report relies on that order byte for
-//! byte. These proptests drive the real ledger and a trivial
-//! `BTreeMap` reference model through the same operation sequences and
-//! demand equal answers to every query, both on synthetic insertion
-//! patterns (sized to cross the internal tail-normalization boundary
-//! repeatedly) and on inference streams from generated worlds.
+//! The ledger's contract is the paper's combined run: one verdict per
+//! member interface, earliest step first (first write wins), iterated
+//! in address order, because every downstream shard merge and report
+//! relies on that order byte for byte. The incremental pipeline also
+//! patches it in place across epochs, so `replace` and `remove` must
+//! behave like the map operations they name. These proptests drive the
+//! real ledger and a trivial `BTreeMap` reference model through the
+//! same operation sequences and demand equal answers to every query,
+//! on synthetic sequences with address collisions, on shard absorption
+//! and on inference streams from generated worlds.
 
 use opeer::core::steps::Ledger;
 use opeer::prelude::*;
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-/// The reference model: what the seed's map-backed ledger did.
+/// The reference model: a plain map keyed by interface address.
 #[derive(Default)]
 struct ModelLedger {
     map: BTreeMap<Ipv4Addr, Inference>,
@@ -31,6 +31,16 @@ impl ModelLedger {
         }
         self.map.insert(inf.addr, inf);
         true
+    }
+
+    /// Last write wins, exactly like `Ledger::replace`.
+    fn replace(&mut self, inf: Inference) -> Option<Inference> {
+        self.map.insert(inf.addr, inf)
+    }
+
+    /// Drops the address, exactly like `Ledger::remove`.
+    fn remove(&mut self, addr: Ipv4Addr) -> Option<Inference> {
+        self.map.remove(&addr)
     }
 
     fn all(&self) -> Vec<Inference> {
@@ -86,10 +96,25 @@ fn assert_matches_model(ledger: &Ledger, model: &ModelLedger) {
     }
 }
 
+/// One synthetic operation: the three ways a ledger is written.
+#[derive(Debug, Clone)]
+enum Op {
+    Record(Inference),
+    Replace(Inference),
+    Remove(Ipv4Addr),
+}
+
+fn write_strategy() -> impl Strategy<Value = Op> {
+    (op_strategy(), 0u8..3).prop_map(|(inf, kind)| match kind {
+        0 => Op::Record(inf),
+        1 => Op::Replace(inf),
+        _ => Op::Remove(inf.addr),
+    })
+}
+
 proptest! {
-    /// Synthetic sequences long enough to cross the ledger's internal
-    /// tail-normalization boundary (64) several times, with address
-    /// collisions exercising first-write-wins.
+    /// Long synthetic sequences with address collisions exercising
+    /// first-write-wins.
     #[test]
     fn ledger_matches_map_model_on_random_sequences(
         ops in proptest::collection::vec(op_strategy(), 0..260),
@@ -102,6 +127,25 @@ proptest! {
                 model.record(inf),
                 "record accept/reject diverged"
             );
+        }
+        assert_matches_model(&ledger, &model);
+    }
+
+    /// Random record/replace/remove sequences, the writes the
+    /// incremental pipeline makes across epochs: every return value and
+    /// the final state must match the model.
+    #[test]
+    fn in_place_writes_match_map_model(
+        ops in proptest::collection::vec(write_strategy(), 0..260),
+    ) {
+        let mut ledger = Ledger::new();
+        let mut model = ModelLedger::default();
+        for op in ops {
+            match op {
+                Op::Record(inf) => prop_assert_eq!(ledger.record(inf.clone()), model.record(inf)),
+                Op::Replace(inf) => prop_assert_eq!(ledger.replace(inf.clone()), model.replace(inf)),
+                Op::Remove(addr) => prop_assert_eq!(ledger.remove(addr), model.remove(addr)),
+            }
         }
         assert_matches_model(&ledger, &model);
     }
