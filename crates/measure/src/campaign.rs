@@ -275,7 +275,7 @@ pub fn run_control_campaign(world: &World, cfg: CampaignConfig) -> CampaignResul
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::vp::discover_vps;
     use opeer_topology::{AccessTruth, WorldConfig};
@@ -430,6 +430,79 @@ mod tests {
         assert_eq!(a.observations.len(), b.observations.len());
         for (x, y) in a.observations.iter().zip(&b.observations) {
             assert_eq!(x.min_rtt_ms, y.min_rtt_ms);
+        }
+    }
+
+    /// `stable_hash` over every field of every observation and VP
+    /// statistic, each `f64` as its bits and a missing route-server RTT
+    /// as `u64::MAX`.
+    fn campaign_digest(res: &CampaignResult) -> u64 {
+        let mut words = Vec::new();
+        for o in &res.observations {
+            words.extend([
+                u64::from(o.vp.0),
+                o.ixp.index() as u64,
+                u64::from(u32::from(o.target)),
+                o.min_rtt_ms.to_bits(),
+                u64::from(o.vp_rounds_up),
+                o.accepted as u64,
+                o.sent as u64,
+            ]);
+        }
+        for s in &res.vp_stats {
+            words.extend([
+                u64::from(s.vp.0),
+                s.ixp.index() as u64,
+                u64::from(s.atlas),
+                s.targets as u64,
+                s.responsive as u64,
+                u64::from(s.discarded),
+                s.rs_rtt_ms.map_or(u64::MAX, f64::to_bits),
+            ]);
+        }
+        opeer_topology::routing::stable_hash(&words)
+    }
+
+    /// `(observations, VP stats, digest)` of one campaign.
+    pub(crate) fn campaign_pin(res: &CampaignResult) -> (usize, usize, u64) {
+        (
+            res.observations.len(),
+            res.vp_stats.len(),
+            campaign_digest(res),
+        )
+    }
+
+    /// Pins the campaign bytes, §5.2 study and §4.1 control protocols:
+    /// any change to the ping engine, the latency model or VP discovery
+    /// moves these digests.
+    #[test]
+    fn campaign_digest_is_pinned() {
+        for (seed, study, control) in [
+            (
+                7,
+                (789usize, 87usize, 11379771477915922943u64),
+                (68usize, 7usize, 73805914068420842u64),
+            ),
+            (
+                42,
+                (776, 89, 14539010254649077995),
+                (72, 7, 13424218452302934395),
+            ),
+        ] {
+            let w = WorldConfig::small(seed).generate();
+            let vps = discover_vps(&w, seed);
+            let res = run_campaign(&w, &vps, CampaignConfig::study(seed));
+            assert_eq!(
+                campaign_pin(&res),
+                study,
+                "study campaign of small seed {seed} moved"
+            );
+            let res = run_control_campaign(&w, CampaignConfig::control(seed));
+            assert_eq!(
+                campaign_pin(&res),
+                control,
+                "control campaign of small seed {seed} moved"
+            );
         }
     }
 }

@@ -508,4 +508,32 @@ mod tests {
             );
         }
     }
+    /// The campaign and corpus pins at scale, where every Atlas host kind
+    /// and rounding looking glasses occur. Release only; CI runs it.
+    #[test]
+    #[ignore = "release-mode scale test; run with --ignored"]
+    fn measurement_digest_is_pinned_at_scale() {
+        use crate::campaign::tests::campaign_pin;
+        use crate::campaign::{run_campaign, run_control_campaign, CampaignConfig};
+        let seed = 1;
+        let w = WorldConfig::large(seed).generate();
+        let vps = crate::vp::discover_vps(&w, seed);
+        let study = run_campaign(&w, &vps, CampaignConfig::study(seed));
+        let control = run_control_campaign(&w, CampaignConfig::control(seed));
+        let corpus = build_corpus(&w, CorpusConfig::default());
+        let got = (
+            campaign_pin(&study),
+            campaign_pin(&control),
+            (corpus.len(), corpus_digest(&corpus)),
+        );
+        assert_eq!(
+            got,
+            (
+                (12672, 89, 16852866345341458966),
+                (1147, 7, 8974253647074741626),
+                (24620, 285154937227502405)
+            ),
+            "measurement plane of large seed {seed} moved"
+        );
+    }
 }
