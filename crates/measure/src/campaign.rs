@@ -117,11 +117,6 @@ impl CampaignResult {
         self.vp_stats.extend(other.vp_stats);
     }
 
-    /// Observations for one IXP.
-    pub fn for_ixp(&self, ixp: IxpId) -> impl Iterator<Item = &PingObservation> {
-        self.observations.iter().filter(move |o| o.ixp == ixp)
-    }
-
     /// The best (lowest) RTTmin per target address across VPs of its IXP,
     /// preferring non-rounding VPs on ties. This is what Step 3 consumes.
     pub fn best_per_target(&self) -> Vec<&PingObservation> {
@@ -147,6 +142,12 @@ impl CampaignResult {
 /// Probes everything one VP measures: the route-server hygiene check,
 /// then every active member interface of the VP's IXP.
 ///
+/// Per target (and once for the route server) the engine builds the
+/// pair's fixed part once — interface lookup, drop checks, base RTT,
+/// initial TTL — and then draws only each sample's loss, jitter and
+/// off-subnet TTL, so every reply equals [`PingEngine::ping`]'s for the
+/// same `(vp, target, sample)`.
+///
 /// This is the campaign's unit of parallelism — **pure** per VP. It
 /// reads only the immutable world through the stateless [`PingEngine`]
 /// (every RTT/TTL draw is keyed by `(vp, interface, sample)`, so the
@@ -161,9 +162,11 @@ pub fn probe_vp(
 ) -> (Vec<PingObservation>, VpStats) {
     // Route-server hygiene for Atlas probes.
     let mut rs_min: Option<f64> = None;
-    for i in 0..cfg.samples {
-        if let Some(r) = engine.ping_route_server(vp, i) {
-            rs_min = Some(rs_min.map_or(r.rtt_ms, |m: f64| m.min(r.rtt_ms)));
+    if let Some(pair) = engine.pair(vp, world.ixps[vp.ixp.index()].route_server_ip) {
+        for i in 0..cfg.samples {
+            if let Some(r) = engine.sample(&pair, i) {
+                rs_min = Some(rs_min.map_or(r.rtt_ms, |m: f64| m.min(r.rtt_ms)));
+            }
         }
     }
     let discarded_rs = vp.is_atlas() && rs_min.is_none_or(|m| m >= cfg.rs_filter_ms);
@@ -191,12 +194,14 @@ pub fn probe_vp(
         stats.targets += 1;
         let mut filter = TtlFilter::new(vp.ttl_max_hops());
         let mut min_rtt = f64::INFINITY;
-        let mut sent = 0usize;
-        for i in 0..cfg.samples {
-            sent += 1;
-            if let Some(reply) = engine.ping(vp, target, i) {
-                if filter.accept(reply.ttl) {
-                    min_rtt = min_rtt.min(reply.rtt_ms);
+        // Every probe counts as sent, answered or not.
+        let sent = cfg.samples as usize;
+        if let Some(pair) = engine.pair(vp, target) {
+            for i in 0..cfg.samples {
+                if let Some(reply) = engine.sample(&pair, i) {
+                    if filter.accept(reply.ttl) {
+                        min_rtt = min_rtt.min(reply.rtt_ms);
+                    }
                 }
             }
         }

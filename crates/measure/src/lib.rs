@@ -46,14 +46,18 @@
 //! pool can execute them in any schedule:
 //!
 //! * [`campaign::probe_vp`] is the campaign's unit — one VP's probes,
-//!   no shared state; [`run_campaign`][campaign::run_campaign] is the
-//!   in-order concatenation over a VP slice, and
-//!   [`CampaignResult::absorb`] merges consecutive-chunk partials back
-//!   into that exact byte sequence.
+//!   no shared state. Within it, each (VP, target) pair's fixed part
+//!   (interface lookup, drop checks, base RTT, initial TTL) is computed
+//!   once and only the per-sample loss, jitter and TTL draws repeat.
+//!   [`run_campaign`][campaign::run_campaign] is the in-order
+//!   concatenation over a VP slice, and [`CampaignResult::absorb`]
+//!   merges consecutive-chunk partials back into that exact byte
+//!   sequence.
 //! * [`traceroute::plan_corpus`] separates the cheap probe schedule
-//!   from tracing; [`traceroute::CorpusPlan::trace_shard`] traces any
-//!   destination range independently, and range-order concatenation
-//!   equals [`traceroute::build_corpus`].
+//!   from tracing; [`traceroute::CorpusPlan::trace_shard_on`] traces any
+//!   destination range on one shared engine, independently of the
+//!   other ranges, and range-order concatenation equals
+//!   [`traceroute::build_corpus`].
 //! * [`ipid::probe_ipid`] / [`ipid::probe_train`] are pure per
 //!   `(interface, time)` — alias resolution's probe trains parallelise
 //!   per target for free.

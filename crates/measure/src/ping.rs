@@ -29,6 +29,21 @@ pub struct PingEngine<'w> {
     model: LatencyModel,
 }
 
+/// What every ping of one (VP, target) pair shares: only the loss,
+/// jitter and off-subnet draws vary per sample.
+pub(crate) struct PingPair {
+    /// The path key every draw of the pair folds in.
+    key: [u64; 2],
+    /// The path's base RTT, ms.
+    base_ms: f64,
+    /// The target stack's initial TTL.
+    initial_ttl: u16,
+    /// Forwarding hops between the VP and the peering LAN.
+    base_hops: u16,
+    /// Whether the VP rounds RTTs up to whole milliseconds.
+    rounds_up: bool,
+}
+
 impl<'w> PingEngine<'w> {
     /// Creates the engine.
     pub fn new(world: &'w World, model: LatencyModel) -> Self {
@@ -45,6 +60,13 @@ impl<'w> PingEngine<'w> {
     /// `sample_idx` distinguishes repeated probes of the same pair (the
     /// campaign layer sweeps it over the measurement schedule).
     pub fn ping(&self, vp: &VantagePoint, target: Ipv4Addr, sample_idx: u64) -> Option<PingReply> {
+        self.sample(&self.pair(vp, target)?, sample_idx)
+    }
+
+    /// The per-pair half of [`Self::ping`]: `None` when no sample of the
+    /// pair can answer (a dead probe, an unknown or silent target, or an
+    /// Atlas path that drops ICMP).
+    pub(crate) fn pair(&self, vp: &VantagePoint, target: Ipv4Addr) -> Option<PingPair> {
         // Dead probes never hear anything.
         if let VpKind::Atlas { dead: true, .. } = vp.kind {
             return None;
@@ -56,41 +78,58 @@ impl<'w> PingEngine<'w> {
         }
         let router = iface.router;
         let target_loc = self.world.router_point(router);
-        let pair_key = [(u64::from(vp.id.0) << 32) | u64::from(iface_id.0), 0x50];
+        let key = [(u64::from(vp.id.0) << 32) | u64::from(iface_id.0), 0x50];
         // Atlas probes fail more often end-to-end (filtered ICMP towards
         // off-LAN sources, §6.1's 75% response rate).
         if vp.is_atlas() {
-            let h = stable_hash(&[self.model.seed, pair_key[0], 21]);
+            let h = stable_hash(&[self.model.seed, key[0], 21]);
             if h % 100 < 20 {
                 return None;
             }
         }
-        let base = self.model.base_rtt_ms(vp.location, target_loc, &pair_key);
-        let rtt = self.model.sample_rtt_ms(base, &pair_key, sample_idx)?;
-
         // Reply TTL: the target stack's initial TTL minus the forwarding
         // hops back to the VP. LGs sit on the LAN (0 hops), Atlas probes
-        // one hop off it. A small fraction of replies come from off-subnet
-        // middleboxes and arrive several hops down — the TTL-match filter
-        // exists to kill exactly these.
-        let initial: u16 = if stable_hash(&[self.model.seed, u64::from(router.0), 31]) % 100 < 70 {
+        // one hop off it.
+        let initial_ttl = if stable_hash(&[self.model.seed, u64::from(router.0), 31]) % 100 < 70 {
             255
         } else {
             64
         };
         let base_hops = match vp.kind {
-            VpKind::LookingGlass { .. } | VpKind::OperatorInternal => 0u16,
+            VpKind::LookingGlass { .. } | VpKind::OperatorInternal => 0,
             VpKind::Atlas { .. } => 1,
         };
-        let off_subnet = stable_hash(&[self.model.seed, pair_key[0], sample_idx, 32]) % 100 < 2;
+        Some(PingPair {
+            key,
+            base_ms: self.model.base_rtt_ms(vp.location, target_loc, &key),
+            initial_ttl,
+            base_hops,
+            rounds_up: vp.rounds_up(),
+        })
+    }
+
+    /// The per-sample half of [`Self::ping`]: `None` when the packet is
+    /// lost.
+    pub(crate) fn sample(&self, pair: &PingPair, sample_idx: u64) -> Option<PingReply> {
+        let rtt = self
+            .model
+            .sample_rtt_ms(pair.base_ms, &pair.key, sample_idx)?;
+        // A small fraction of replies come from off-subnet middleboxes
+        // and arrive several hops down — the TTL-match filter exists to
+        // kill exactly these.
+        let seed = self.model.seed;
+        let off_subnet = stable_hash(&[seed, pair.key[0], sample_idx, 32]) % 100 < 2;
         let extra = if off_subnet {
-            1 + (stable_hash(&[self.model.seed, pair_key[0], sample_idx, 33]) % 3) as u16
+            1 + (stable_hash(&[seed, pair.key[0], sample_idx, 33]) % 3) as u16
         } else {
             0
         };
-        let ttl = initial.saturating_sub(base_hops + extra).max(1) as u8;
+        let ttl = pair
+            .initial_ttl
+            .saturating_sub(pair.base_hops + extra)
+            .max(1) as u8;
 
-        let rtt = if vp.rounds_up() {
+        let rtt = if pair.rounds_up {
             rtt.ceil().max(1.0)
         } else {
             rtt

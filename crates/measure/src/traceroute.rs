@@ -203,7 +203,7 @@ pub fn deep_host(world: &World, asid: AsId, salt: u64) -> Ipv4Addr {
 /// destination AS so one route table serves all traceroutes towards it.
 ///
 /// Destinations are sorted, which makes a contiguous destination range
-/// an independent unit of work: [`CorpusPlan::trace_shard`] over
+/// an independent unit of work: [`CorpusPlan::trace_shard_on`] over
 /// consecutive ranges, concatenated in range order, is byte-identical
 /// to tracing the whole plan sequentially.
 #[derive(Debug, Clone)]
@@ -287,7 +287,7 @@ impl CorpusPlan {
 ///
 /// Planning is cheap (hashing over memberships); the expensive part —
 /// route tables and hop-by-hop tracing — happens in
-/// [`CorpusPlan::trace_shard`].
+/// [`CorpusPlan::trace_shard_on`].
 pub fn plan_corpus(world: &World, cfg: &CorpusConfig) -> CorpusPlan {
     let month = world.observation_month;
 
@@ -357,9 +357,9 @@ pub fn plan_corpus(world: &World, cfg: &CorpusConfig) -> CorpusPlan {
 
 /// Builds the public traceroute corpus: [`plan_corpus`] followed by a
 /// full sequential trace of the plan (one engine, destinations in
-/// sorted order). `CorpusPlan::trace_shard` over a partition of the
-/// destination range produces the same corpus — that is the parallel
-/// assembly path.
+/// sorted order). [`CorpusPlan::trace_shard_on`] over a partition of
+/// the destination range produces the same corpus — that is the
+/// parallel assembly path.
 pub fn build_corpus(world: &World, cfg: CorpusConfig) -> Vec<Traceroute> {
     let plan = plan_corpus(world, &cfg);
     let engine = TracerouteEngine::new(world, LatencyModel::new(cfg.seed));
