@@ -7,7 +7,9 @@
 //! coverage (§3.1: good coverage in RIPE and APNIC, little in ARIN/LACNIC,
 //! none in AFRINIC).
 
+use opeer_geo::GeoPoint;
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// Regional Internet Registry service regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -795,6 +797,26 @@ pub const CITY_CATALOG: &[CityRecord] = &[
     },
 ];
 
+/// Geodesic distances between catalog cities, km: symmetric, zero on
+/// the diagonal, indexed by catalog order. The catalog is fixed, so the
+/// generator computes its pairs once per process instead of per world.
+pub(crate) static CITY_DIST_KM: LazyLock<Vec<Vec<f64>>> = LazyLock::new(|| {
+    let points: Vec<GeoPoint> = CITY_CATALOG
+        .iter()
+        .map(|c| GeoPoint::new(c.lat, c.lon).expect("catalog coords valid"))
+        .collect();
+    let n = points.len();
+    let mut dist = vec![vec![0.0; n]; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = points[i].distance_km(&points[j]);
+            dist[i][j] = d;
+            dist[j][i] = d;
+        }
+    }
+    dist
+});
+
 /// Looks up a catalog entry by name. Panics if absent — the generator's
 /// IXP specification table references only catalog cities, so a miss is a
 /// programming error, not a data error.
@@ -808,7 +830,6 @@ pub fn city_index(name: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opeer_geo::GeoPoint;
 
     #[test]
     fn catalog_has_unique_names_and_valid_coords() {

@@ -13,7 +13,7 @@
 //! Everything is derived from a single `u64` seed; the same seed always
 //! produces the same world, byte for byte.
 
-use crate::cities::{Region, CITY_CATALOG};
+use crate::cities::{Region, CITY_CATALOG, CITY_DIST_KM};
 use crate::ids::*;
 use crate::spec::{IxpSpec, NAMED_IXPS};
 use crate::world::*;
@@ -311,8 +311,6 @@ struct Gen {
     city_ases: Vec<Vec<AsId>>,
     /// `(min(a, b), max(a, b), facility)` of every private link so far.
     private_link_keys: HashSet<(AsId, AsId, FacilityId)>,
-    /// City-pair distances, km (symmetric, indexed by catalog order).
-    city_dist: Vec<Vec<f64>>,
 }
 
 /// Capacity constants, Mbps.
@@ -344,7 +342,6 @@ impl Gen {
             filled_into: Vec::new(),
             city_ases: Vec::new(),
             private_link_keys: HashSet::new(),
-            city_dist: Vec::new(),
         }
     }
 
@@ -381,20 +378,8 @@ impl Gen {
         }
         self.city_facilities = vec![Vec::new(); self.w.cities.len()];
         self.city_ases = vec![Vec::new(); self.w.cities.len()];
-        // Pre-compute city-pair distances.
-        let n = self.w.cities.len();
-        self.city_dist = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = self.w.cities[i]
-                    .location
-                    .distance_km(&self.w.cities[j].location);
-                self.city_dist[i][j] = d;
-                self.city_dist[j][i] = d;
-            }
-        }
         // A base stock of neutral colo facilities per city (1–5).
-        for city_idx in 0..n {
+        for city_idx in 0..self.w.cities.len() {
             let count = self.rng.gen_range(1..=5);
             for k in 0..count {
                 self.new_facility(CityId::from_index(city_idx), &format!("Colo {k}"));
@@ -1050,7 +1035,7 @@ impl Gen {
     ) -> Option<AsId> {
         // Mark the candidates of every in-band city on a bitset over AS
         // ids, then read them back in ascending order.
-        let dist = &self.city_dist[from_city.index()];
+        let dist = &CITY_DIST_KM[from_city.index()];
         let mut marks = vec![0u64; self.w.ases.len().div_ceil(64)];
         for (city, ases) in self.city_ases.iter().enumerate() {
             if dist[city] >= lo_km && dist[city] <= hi_km {
@@ -1076,7 +1061,7 @@ impl Gen {
         let f = from.index();
         let band: Vec<usize> = (0..self.w.cities.len())
             .filter(|&i| {
-                let d = self.city_dist[f][i];
+                let d = CITY_DIST_KM[f][i];
                 (i == f && lo_km == 0.0) || (d >= lo_km && d <= hi_km && i != f)
             })
             .collect();
