@@ -78,11 +78,11 @@ impl<'w> PingEngine<'w> {
         }
         let router = iface.router;
         let target_loc = self.world.router_point(router);
-        let key = [(u64::from(vp.id.0) << 32) | u64::from(iface_id.0), 0x50];
+        let pair_key = [(u64::from(vp.id.0) << 32) | u64::from(iface_id.0), 0x50];
         // Atlas probes fail more often end-to-end (filtered ICMP towards
         // off-LAN sources, §6.1's 75% response rate).
         if vp.is_atlas() {
-            let h = stable_hash(&[self.model.seed, key[0], 21]);
+            let h = stable_hash(&[self.model.seed, pair_key[0], 21]);
             if h % 100 < 20 {
                 return None;
             }
@@ -100,8 +100,8 @@ impl<'w> PingEngine<'w> {
             VpKind::Atlas { .. } => 1,
         };
         Some(PingPair {
-            key,
-            base_ms: self.model.base_rtt_ms(vp.location, target_loc, &key),
+            key: pair_key,
+            base_ms: self.model.base_rtt_ms(vp.location, target_loc, &pair_key),
             initial_ttl,
             base_hops,
             rounds_up: vp.rounds_up(),
@@ -117,10 +117,9 @@ impl<'w> PingEngine<'w> {
         // A small fraction of replies come from off-subnet middleboxes
         // and arrive several hops down — the TTL-match filter exists to
         // kill exactly these.
-        let seed = self.model.seed;
-        let off_subnet = stable_hash(&[seed, pair.key[0], sample_idx, 32]) % 100 < 2;
+        let off_subnet = stable_hash(&[self.model.seed, pair.key[0], sample_idx, 32]) % 100 < 2;
         let extra = if off_subnet {
-            1 + (stable_hash(&[seed, pair.key[0], sample_idx, 33]) % 3) as u16
+            1 + (stable_hash(&[self.model.seed, pair.key[0], sample_idx, 33]) % 3) as u16
         } else {
             0
         };
