@@ -14,7 +14,7 @@
 //! recovers the base RTT, which is exactly why the paper uses `RTTmin`.
 
 use opeer_geo::{GeoPoint, SpeedModel};
-use opeer_topology::routing::{fnv1a_word, FNV1A_BASIS};
+use opeer_topology::routing::stable_hash;
 use serde::{Deserialize, Serialize};
 
 /// Tunable latency model parameters.
@@ -65,16 +65,10 @@ impl LatencyModel {
         }
     }
 
-    /// `stable_hash(&[seed, len, words…])`, folded without collecting
-    /// the words.
-    fn hash(&self, words: &[u64]) -> u64 {
-        let prefix = fnv1a_word(fnv1a_word(FNV1A_BASIS, self.seed), words.len() as u64);
-        words.iter().fold(prefix, |h, &w| fnv1a_word(h, w))
-    }
-
     /// Uniform [0,1) derived from the hash of `words` (stable across runs).
-    fn unit(&self, words: &[u64]) -> f64 {
-        (self.hash(words) >> 11) as f64 / (1u64 << 53) as f64
+    fn unit(&self, words: &[u64; 3]) -> f64 {
+        let h = stable_hash(&[self.seed, 3, words[0], words[1], words[2]]);
+        (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// The stable base RTT in ms between two locations, for a path
@@ -157,25 +151,9 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opeer_topology::routing::stable_hash;
-    use proptest::prelude::*;
 
     fn p(lat: f64, lon: f64) -> GeoPoint {
         GeoPoint::new(lat, lon).expect("valid")
-    }
-
-    proptest! {
-        /// The allocation-free fold behind every draw equals hashing the
-        /// collected `[seed, len, words…]` slice.
-        #[test]
-        fn unit_fold_equals_collected_stable_hash(
-            seed in any::<u64>(),
-            words in proptest::collection::vec(any::<u64>(), 0..=6),
-        ) {
-            let mut collected = vec![seed, words.len() as u64];
-            collected.extend(&words);
-            prop_assert_eq!(LatencyModel::new(seed).hash(&words), stable_hash(&collected));
-        }
     }
 
     #[test]

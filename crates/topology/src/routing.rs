@@ -766,26 +766,17 @@ impl<'w> RoutingOracle<'w> {
     }
 }
 
-/// The FNV-1a 64-bit offset basis: [`stable_hash`] of no words.
-pub const FNV1A_BASIS: u64 = 0xcbf29ce484222325;
-
-/// One FNV-1a step of [`stable_hash`]: folds the little-endian bytes of
-/// `word` into the running hash `h`. Folding the words of a slice from
-/// [`FNV1A_BASIS`] is `stable_hash` of that slice, so callers can hash a
-/// prefix and a borrowed slice without collecting them first.
-#[inline]
-pub fn fnv1a_word(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// A small deterministic 64-bit hash (FNV-1a over the words); used for
 /// stable pseudo-random decisions that must not depend on `rand` state.
 pub fn stable_hash(words: &[u64]) -> u64 {
-    words.iter().fold(FNV1A_BASIS, |h, &w| fnv1a_word(h, w))
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
 }
 
 /// Convenience: is the interface an IXP-LAN interface?
