@@ -144,7 +144,7 @@ impl CampaignResult {
 ///
 /// Per target (and once for the route server) the engine builds the
 /// pair's fixed part once — interface lookup, drop checks, base RTT,
-/// initial TTL — and then draws only each sample's loss, jitter and
+/// reply TTL — and then draws only each sample's loss, jitter and
 /// off-subnet TTL, so every reply equals [`PingEngine::ping`]'s for the
 /// same `(vp, target, sample)`.
 ///
@@ -162,7 +162,7 @@ pub fn probe_vp(
 ) -> (Vec<PingObservation>, VpStats) {
     // Route-server hygiene for Atlas probes.
     let mut rs_min: Option<f64> = None;
-    if let Some(pair) = engine.pair(vp, world.ixps[vp.ixp.index()].route_server_ip) {
+    if let Some(pair) = engine.route_server_pair(vp) {
         for i in 0..cfg.samples {
             if let Some(r) = engine.sample(&pair, i) {
                 rs_min = Some(rs_min.map_or(r.rtt_ms, |m: f64| m.min(r.rtt_ms)));

@@ -47,7 +47,7 @@
 //!
 //! * [`campaign::probe_vp`] is the campaign's unit — one VP's probes,
 //!   no shared state. Within it, each (VP, target) pair's fixed part
-//!   (interface lookup, drop checks, base RTT, initial TTL) is computed
+//!   (interface lookup, drop checks, base RTT, reply TTL) is computed
 //!   once and only the per-sample loss, jitter and TTL draws repeat.
 //!   [`run_campaign`][campaign::run_campaign] is the in-order
 //!   concatenation over a VP slice, and [`CampaignResult::absorb`]

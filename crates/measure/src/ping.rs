@@ -36,10 +36,9 @@ pub(crate) struct PingPair {
     key: [u64; 2],
     /// The path's base RTT, ms.
     base_ms: f64,
-    /// The target stack's initial TTL.
-    initial_ttl: u16,
-    /// Forwarding hops between the VP and the peering LAN.
-    base_hops: u16,
+    /// The reply TTL at the VP: the target stack's initial TTL minus
+    /// the forwarding hops back to it.
+    reply_ttl: u16,
     /// Whether the VP rounds RTTs up to whole milliseconds.
     rounds_up: bool,
 }
@@ -102,8 +101,7 @@ impl<'w> PingEngine<'w> {
         Some(PingPair {
             key: pair_key,
             base_ms: self.model.base_rtt_ms(vp.location, target_loc, &pair_key),
-            initial_ttl,
-            base_hops,
+            reply_ttl: initial_ttl - base_hops,
             rounds_up: vp.rounds_up(),
         })
     }
@@ -123,10 +121,7 @@ impl<'w> PingEngine<'w> {
         } else {
             0
         };
-        let ttl = pair
-            .initial_ttl
-            .saturating_sub(pair.base_hops + extra)
-            .max(1) as u8;
+        let ttl = pair.reply_ttl.saturating_sub(extra).max(1) as u8;
 
         let rtt = if pair.rounds_up {
             rtt.ceil().max(1.0)
@@ -136,11 +131,16 @@ impl<'w> PingEngine<'w> {
         Some(PingReply { rtt_ms: rtt, ttl })
     }
 
-    /// Pings the IXP's route server from `vp` (used by the §6.1 probe
-    /// filter: Atlas probes with ≥ 1 ms to the route server are dropped).
+    /// The per-pair half of [`Self::ping_route_server`].
+    pub(crate) fn route_server_pair(&self, vp: &VantagePoint) -> Option<PingPair> {
+        self.pair(vp, self.world.ixps[vp.ixp.index()].route_server_ip)
+    }
+
+    /// Pings the IXP's route server from `vp`: one probe of the §6.1
+    /// hygiene check that [`crate::campaign::probe_vp`] runs over every
+    /// sample (Atlas probes with ≥ 1 ms to the route server are dropped).
     pub fn ping_route_server(&self, vp: &VantagePoint, sample_idx: u64) -> Option<PingReply> {
-        let rs = self.world.ixps[vp.ixp.index()].route_server_ip;
-        self.ping(vp, rs, sample_idx)
+        self.sample(&self.route_server_pair(vp)?, sample_idx)
     }
 }
 

@@ -508,6 +508,7 @@ mod tests {
             );
         }
     }
+
     /// The campaign and corpus pins at scale, where every Atlas host kind
     /// and rounding looking glasses occur. Release only; CI runs it.
     #[test]
